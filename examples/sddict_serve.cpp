@@ -1,7 +1,8 @@
 // sddict_serve: the tester-floor query server. Loads one packed signature
 // store (dictionary_explorer --export-store writes them) and answers
 // diagnosis queries over a line protocol, on stdin/stdout by default or on
-// a Unix-domain socket with --socket.
+// TCP (--tcp) and/or a Unix-domain socket (--socket) through the event
+// loop.
 //
 // Protocol, one request per tester datalog (diag/testerlog.h format):
 //
@@ -61,10 +62,9 @@
 //   session end DIE42
 //   end
 //
-// Networked mode (--tcp=PORT, port 0 = kernel-assigned): an event-loop
-// front end (src/net/server.h) multiplexes many concurrent TCP sessions —
-// plus a Unix listener when --socket is also given — onto the same
-// service, with per-connection timeouts, bounded in-flight limits, and
+// Networked mode (--tcp=PORT, port 0 = kernel-assigned, and/or
+// --socket=PATH): an event-loop front end (src/net/server.h) multiplexes
+// many concurrent TCP and Unix-socket sessions onto the same service, with per-connection timeouts, bounded in-flight limits, and
 // load shedding via explicit `busy retry_after_ms=N` replies (see
 // src/net/client.h for the backoff discipline clients should follow).
 // SIGINT/SIGTERM drain every accepted request before exiting. With
@@ -74,7 +74,7 @@
 //
 //   $ ./sddict_serve --store=dict.store [--threads=N] [--batch=N]
 //       [--cache=N] [--deadline-ms=X] [--load=auto|mmap|stream]
-//       [--socket=PATH [--once] [--backlog=N]]
+//       [--socket=PATH] [--backlog=N]
 //       [--tcp=PORT [--host=ADDR] [--max-sessions=N] [--max-inflight=N]
 //        [--session-inflight=N] [--pending=N] [--idle-timeout-ms=X]
 //        [--frame-timeout-ms=X] [--write-timeout-ms=X] [--busy-retry-ms=N]
@@ -94,7 +94,6 @@
 
 #include "compact/repo_compact.h"
 #include "diag/testerlog.h"
-#include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "repo/repository.h"
@@ -104,18 +103,9 @@
 #include "store/signature_store.h"
 #include "util/cli.h"
 #include "util/failpoint.h"
-#include "util/fdio.h"
 #include "util/fileio.h"
 #include "util/strings.h"
 #include "util/threadpool.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SDDICT_SERVE_HAS_SOCKET 1
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
 
 using namespace sddict;
 
@@ -125,7 +115,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: sddict_serve --store=FILE [--threads=N] [--batch=N]\n"
                "  [--cache=N] [--deadline-ms=X] [--load=auto|mmap|stream]\n"
-               "  [--socket=PATH [--once] [--backlog=N]]\n"
+               "  [--socket=PATH] [--backlog=N]\n"
                "  [--tcp=PORT [--host=ADDR] [--max-sessions=N]\n"
                "   [--max-inflight=N] [--session-inflight=N] [--pending=N]\n"
                "   [--idle-timeout-ms=X] [--frame-timeout-ms=X]\n"
@@ -446,102 +436,6 @@ void serve_session(DiagnosisService* service, RepoServer* repo,
   drain(out, pending, /*block=*/true);
 }
 
-#ifdef SDDICT_SERVE_HAS_SOCKET
-// Minimal read/write streambuf over a connected socket fd.
-class FdStreamBuf : public std::streambuf {
- public:
-  explicit FdStreamBuf(int fd) : fd_(fd) {
-    setg(in_, in_, in_);
-    setp(out_, out_ + sizeof out_);
-  }
-  ~FdStreamBuf() override { sync(); }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    const ssize_t n = ::read(fd_, in_, sizeof in_);
-    if (n <= 0) return traits_type::eof();
-    setg(in_, in_, in_ + n);
-    return traits_type::to_int_type(*gptr());
-  }
-  int_type overflow(int_type ch) override {
-    if (sync() != 0) return traits_type::eof();
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-      *pptr() = traits_type::to_char_type(ch);
-      pbump(1);
-    }
-    return traits_type::not_eof(ch);
-  }
-  int sync() override {
-    const char* p = pbase();
-    while (p < pptr()) {
-      const ssize_t n = ::write(fd_, p, static_cast<std::size_t>(pptr() - p));
-      if (n <= 0) return -1;
-      p += n;
-    }
-    setp(out_, out_ + sizeof out_);
-    return 0;
-  }
-
- private:
-  int fd_;
-  char in_[4096];
-  char out_[4096];
-};
-
-int serve_socket(DiagnosisService* service, RepoServer* repo,
-                 SessionService* session, const std::string& path, bool once,
-                 int backlog) {
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::perror("socket");
-    return 1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) {
-    std::fprintf(stderr, "socket path too long: %s\n", path.c_str());
-    ::close(listener);
-    return 1;
-  }
-  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
-  // Reclaim a stale socket file from a dead server, but refuse to clobber
-  // anything that is not a socket.
-  struct stat st{};
-  if (::lstat(path.c_str(), &st) == 0) {
-    if (!S_ISSOCK(st.st_mode)) {
-      std::fprintf(stderr, "refusing to replace non-socket %s\n", path.c_str());
-      ::close(listener);
-      return 1;
-    }
-    ::unlink(path.c_str());
-  }
-  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(listener, backlog) != 0) {
-    std::perror(path.c_str());
-    ::close(listener);
-    return 1;
-  }
-  std::fprintf(stderr, "listening on %s (kernels: %s)\n", path.c_str(),
-               kernels::dispatch().name);
-  for (;;) {
-    fdio::IoResult ar;
-    const int conn = fdio::accept_retry(listener, &ar);  // EINTR-tolerant
-    if (conn < 0) continue;
-    {
-      FdStreamBuf buf(conn);
-      std::istream in(&buf);
-      std::ostream out(&buf);
-      serve_session(service, repo, session, in, out);
-    }
-    ::close(conn);
-    if (once) break;
-  }
-  ::close(listener);
-  ::unlink(path.c_str());
-  return 0;
-}
-
 // ----------------------------------------------------- event-loop mode --
 
 // Backend adapters handing the event loop its dispatch target: the single
@@ -617,7 +511,6 @@ int serve_net(DiagnosisService* service, RepoServer* repo,
                format_net_stats(server.stats()).c_str());
   return 0;
 }
-#endif
 
 }  // namespace
 
@@ -625,7 +518,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const auto unknown = args.unknown_flags(
       {"store", "repo", "circuit", "kind", "threads", "batch", "cache",
-       "deadline-ms", "load", "socket", "once", "backlog", "tcp", "host",
+       "deadline-ms", "load", "socket", "backlog", "tcp", "host",
        "max-sessions", "max-inflight", "session-inflight", "pending",
        "idle-timeout-ms", "frame-timeout-ms", "write-timeout-ms",
        "busy-retry-ms", "port-file", "failpoints", "session-deadline-ms",
@@ -641,7 +534,6 @@ int main(int argc, char** argv) {
   ServiceOptions opts;
   SessionServiceOptions sopts;
   net::NetServerOptions nopts;
-  bool once = false;
   bool tcp_mode = false;
   std::size_t max_chain = 0;
   try {
@@ -662,7 +554,6 @@ int main(int argc, char** argv) {
     if (load_mode != "auto" && load_mode != "mmap" && load_mode != "stream")
       throw std::invalid_argument("flag --load must be auto, mmap or stream");
     socket_path = args.get("socket");
-    once = args.get_bool("once", false);
     tcp_mode = args.has("tcp");
     nopts.tcp_port =
         tcp_mode ? static_cast<int>(args.get_int("tcp", 0, 0, 65535)) : -1;
@@ -749,25 +640,11 @@ int main(int argc, char** argv) {
           return session_cache->get(s.current_store());
         },
         sopts);
-    if (tcp_mode) {
-#ifdef SDDICT_SERVE_HAS_SOCKET
-      // --socket alongside --tcp adds a Unix listener on the same loop.
+    if (tcp_mode || !socket_path.empty()) {
+      // Either listener alone, or both on the same loop.
       nopts.unix_path = socket_path;
       return serve_net(service.get(), repo, &session_service, nopts,
                        port_file);
-#else
-      std::fprintf(stderr, "--tcp is not supported on this platform\n");
-      return 1;
-#endif
-    }
-    if (!socket_path.empty()) {
-#ifdef SDDICT_SERVE_HAS_SOCKET
-      return serve_socket(service.get(), repo, &session_service, socket_path,
-                          once, nopts.backlog);
-#else
-      std::fprintf(stderr, "--socket is not supported on this platform\n");
-      return 1;
-#endif
     }
     serve_session(service.get(), repo, &session_service, std::cin, std::cout);
     return 0;

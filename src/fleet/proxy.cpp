@@ -2,18 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/failpoint.h"
 #include "util/strings.h"
@@ -21,12 +15,6 @@
 namespace sddict::fleet {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 std::uint64_t parse_field(const std::vector<std::string>& tokens,
                           const std::string& name) {
@@ -37,11 +25,31 @@ std::uint64_t parse_field(const std::vector<std::string>& tokens,
   return 0;
 }
 
+// The front end takes the client-side fields; the proxy has no Unix
+// listener, and its admission limit past the session cap is queue_.
+net::NetServerOptions front_options(const ProxyOptions& p) {
+  net::NetServerOptions o;
+  o.tcp_port = p.tcp_port;
+  o.bind_host = p.bind_host;
+  o.backlog = p.backlog;
+  o.max_sessions = p.max_sessions;
+  o.session_inflight = p.session_inflight;
+  o.max_pending = p.max_pending;
+  o.max_frame_bytes = p.max_frame_bytes;
+  o.idle_timeout_ms = p.idle_timeout_ms;
+  o.frame_timeout_ms = p.frame_timeout_ms;
+  o.write_timeout_ms = p.write_timeout_ms;
+  o.drain_timeout_ms = p.drain_timeout_ms;
+  o.busy_retry_ms = p.busy_retry_ms;
+  return o;
+}
+
 }  // namespace
 
 std::string format_proxy_stats(const ProxyStats& s) {
   std::ostringstream out;
-  out << "accepted=" << s.accepted << " responses=" << s.responses
+  out << "accepted=" << s.accepted << " frames=" << s.frames
+      << " responses=" << s.responses
       << " busy_shed=" << s.busy_shed << " failovers=" << s.failovers
       << " backend_disconnects=" << s.backend_disconnects
       << " ejections=" << s.ejections
@@ -55,52 +63,15 @@ std::string format_proxy_stats(const ProxyStats& s) {
   return out.str();
 }
 
-// Client-side reply slot; same strict in-order discipline as the
-// NetServer. kWaiting with key != 0 is a proxied request; key == 0 is a
-// deferred fleet-op reply (flip / rolling restart).
-struct FleetProxy::SessionSlot {
-  enum class State { kWaiting, kText, kQuit };
-  State state = State::kText;
-  std::uint64_t seq = 0;
-  std::uint64_t key = 0;
-  std::string text;
-};
-
-struct FleetProxy::Session {
-  std::uint64_t id = 0;
-  int fd = -1;
-  net::FrameReader reader;
-  std::string outbuf;
-  std::deque<SessionSlot> slots;
-  std::uint64_t next_slot_seq = 1;
-  double last_read_ms = 0;
-  double last_write_progress_ms = 0;
-  double frame_open_ms = -1;
-  bool closing = false;
-  bool dead = false;
-
-  explicit Session(std::size_t max_frame_bytes) : reader(max_frame_bytes) {}
-
-  std::size_t unresolved() const {
-    std::size_t n = 0;
-    for (const SessionSlot& s : slots)
-      if (s.state == SessionSlot::State::kWaiting) ++n;
-    return n;
-  }
-  SessionSlot* find_slot(std::uint64_t seq) {
-    for (SessionSlot& s : slots)
-      if (s.seq == seq) return &s;
-    return nullptr;
-  }
-};
-
+// One client request, or the deferred reply of a fleet op (empty frame,
+// never queued), until the front collects its reply.
 struct FleetProxy::RequestRec {
-  std::uint64_t key = 0;
-  std::uint64_t session_id = 0;  // 0 = orphaned (client gone); drop reply
-  std::uint64_t slot_seq = 0;
   std::string frame;  // the complete datalog text, resent verbatim on failover
   int attempts = 0;   // dispatches so far (capped at max_failovers)
-  int backend = -1;   // id it is outstanding on; -1 = queued
+  int backend = -1;   // id it is outstanding on; -1 = not on a backend
+  bool orphaned = false;  // the client is gone; drop the reply
+  bool done = false;      // `reply` is final
+  std::string reply;
 };
 
 // One connection per backend, carrying datalog requests and admin ops
@@ -178,8 +149,7 @@ struct FleetProxy::BackendConn {
 struct FleetProxy::FleetOp {
   enum class Kind { kFlip, kRolling };
   Kind kind = Kind::kFlip;
-  std::uint64_t session_id = 0;
-  std::uint64_t slot_seq = 0;
+  std::uint64_t key = 0;  // the RequestRec the reply goes to
   double started_ms = 0;
   // Flip: 1 = quiescing, 2 = reloads outstanding.
   int phase = 1;
@@ -195,51 +165,36 @@ struct FleetProxy::FleetOp {
 };
 
 FleetProxy::FleetProxy(BackendSource& source, const ProxyOptions& options)
-    : source_(source), options_(options) {}
+    : source_(source), options_(options), front_(*this, front_options(options)) {}
 
 FleetProxy::~FleetProxy() {
-  for (auto& [id, s] : sessions_)
-    if (!s->dead && s->fd >= 0) ::close(s->fd);
   for (auto& b : backends_)
     if (b->fd >= 0) ::close(b->fd);
-  if (listener_ >= 0) ::close(listener_);
 }
 
-void FleetProxy::start() {
-  ::signal(SIGPIPE, SIG_IGN);
-  listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener_ < 0) throw_errno("socket(AF_INET)");
-  const int one = 1;
-  ::setsockopt(listener_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-  if (::inet_pton(AF_INET, options_.bind_host.c_str(), &addr.sin_addr) != 1)
-    throw std::runtime_error("bad bind host '" + options_.bind_host + "'");
-  if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
-    throw_errno("bind tcp port " + std::to_string(options_.tcp_port));
-  if (::listen(listener_, options_.backlog) != 0) throw_errno("listen");
-  socklen_t len = sizeof addr;
-  if (::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-    throw_errno("getsockname");
-  bound_tcp_port_ = ntohs(addr.sin_port);
-  fdio::set_nonblocking(listener_);
-  fdio::set_cloexec(listener_);
-}
-
-void FleetProxy::request_stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  wake_.notify();
-}
+void FleetProxy::start() { front_.start(); }
+void FleetProxy::request_stop() { front_.request_stop(); }
 
 ProxyStats FleetProxy::stats() const {
   std::lock_guard<std::mutex> lk(stats_mutex_);
   return stats_;
 }
 
+void FleetProxy::publish() {
+  const ProxyStats s = snapshot_live();
+  std::lock_guard<std::mutex> lk(stats_mutex_);
+  stats_ = s;
+}
+
 ProxyStats FleetProxy::snapshot_live() const {
+  const net::NetStats front = front_.counters();
   ProxyStats s = live_;
-  s.active_sessions = sessions_.size();
+  s.accepted = front.accepted;
+  s.frames = front.frames;
+  s.responses = front.responses;
+  s.busy_shed = front.busy_shed;
+  s.io_errors += front.io_errors;
+  s.active_sessions = front.active_sessions;
   s.pending = queue_.size();
   std::uint64_t inflight = 0, healthy = 0;
   for (const auto& b : backends_) {
@@ -253,138 +208,50 @@ ProxyStats FleetProxy::snapshot_live() const {
   return s;
 }
 
-double FleetProxy::now_ms() const {
-  static const Clock::time_point epoch = Clock::now();
-  return std::chrono::duration<double, std::milli>(Clock::now() - epoch)
-      .count();
-}
-
-std::uint32_t FleetProxy::retry_hint() const {
-  const double pressure =
-      options_.max_pending > 0
-          ? static_cast<double>(queue_.size()) /
-                static_cast<double>(options_.max_pending)
-          : 1.0;
-  const double hint = options_.busy_retry_ms * (1.0 + 3.0 * pressure);
-  return static_cast<std::uint32_t>(
-      std::min(hint, options_.busy_retry_ms * 16.0));
-}
-
 // ------------------------------------------------------- client side --
 
-void FleetProxy::accept_ready() {
-  for (;;) {
-    fdio::IoResult r;
-    const int fd = fdio::accept_retry(listener_, &r);
-    if (fd < 0) {
-      if (r.failed) ++live_.io_errors;
-      return;
-    }
-    if (sessions_.size() >= options_.max_sessions) {
-      std::ostringstream os;
-      net::write_busy(os, retry_hint());
-      const std::string text = os.str();
-      (void)fdio::write_some(fd, text.data(), text.size());
-      ::close(fd);
-      ++live_.busy_shed;
-      continue;
-    }
-    fdio::set_nonblocking(fd);
-    fdio::set_cloexec(fd);
-    auto s = std::make_unique<Session>(options_.max_frame_bytes);
-    s->id = next_session_id_++;
-    s->fd = fd;
-    s->last_read_ms = s->last_write_progress_ms = now_ms();
-    ++live_.accepted;
-    sessions_.emplace(s->id, std::move(s));
-  }
-}
-
-void FleetProxy::read_ready(Session& s) {
-  char buf[4096];
-  for (int round = 0; round < 8 && !s.closing && !s.dead; ++round) {
-    const fdio::IoResult r = fdio::read_some(s.fd, buf, sizeof buf);
-    if (r.would_block) break;
-    if (r.failed) {
-      ++live_.io_errors;
-      force_close(s);
-      return;
-    }
-    if (r.n == 0) {
-      s.closing = true;
-      break;
-    }
-    s.last_read_ms = now_ms();
-    s.reader.feed(buf, static_cast<std::size_t>(r.n));
-    net::Frame frame;
-    while (!s.closing && !s.dead && s.reader.next(&frame))
-      handle_frame(s, std::move(frame));
-  }
-  if (!s.dead) {
-    if (s.reader.mid_frame()) {
-      if (s.frame_open_ms < 0) s.frame_open_ms = now_ms();
-    } else {
-      s.frame_open_ms = -1;
-    }
-  }
-}
-
-void FleetProxy::handle_frame(Session& s, net::Frame frame) {
-  SessionSlot slot;
-  slot.seq = s.next_slot_seq++;
-  switch (frame.type) {
-    case net::Frame::Type::kOversize: {
-      std::ostringstream os;
-      net::write_error(os, "frame exceeds " +
-                               std::to_string(options_.max_frame_bytes) +
-                               " bytes");
-      slot.state = SessionSlot::State::kText;
-      slot.text = os.str();
-      s.slots.push_back(std::move(slot));
-      s.closing = true;
-      return;
-    }
-    case net::Frame::Type::kCommand:
-      s.slots.push_back(std::move(slot));
-      handle_command(s, s.slots.back(), std::move(frame.tokens));
-      return;
-    case net::Frame::Type::kDatalog:
-      break;
-  }
-  if (s.unresolved() >= options_.session_inflight ||
-      queue_.size() >= options_.max_pending) {
-    ++live_.busy_shed;
-    std::ostringstream os;
-    net::write_busy(os, retry_hint());
-    slot.state = SessionSlot::State::kText;
-    slot.text = os.str();
-    s.slots.push_back(std::move(slot));
-    return;
-  }
+net::Admission FleetProxy::admit(net::Frame frame, bool session_full) {
+  if (frame.type == net::Frame::Type::kCommand) return command(frame.tokens);
+  if (session_full || queue_.size() >= options_.max_pending)
+    return {front_.busy()};
   auto rec = std::make_unique<RequestRec>();
-  rec->key = next_key_++;
-  rec->session_id = s.id;
-  rec->slot_seq = slot.seq;
   rec->frame = std::move(frame.text);
-  slot.state = SessionSlot::State::kWaiting;
-  slot.key = rec->key;
-  queue_.push_back(rec->key);
-  requests_.emplace(rec->key, std::move(rec));
-  s.slots.push_back(std::move(slot));
+  const std::uint64_t key = next_key_++;
+  queue_.push_back(key);
+  requests_.emplace(key, std::move(rec));
+  return {"", key};
 }
 
-void FleetProxy::handle_command(Session& s, SessionSlot& slot,
-                                std::vector<std::string> tokens) {
+bool FleetProxy::resolve(std::uint64_t key, std::string* reply) {
+  auto it = requests_.find(key);
+  if (!it->second->done) return false;
+  *reply = std::move(it->second->reply);
+  requests_.erase(it);
+  return true;
+}
+
+bool FleetProxy::owed(std::uint64_t key) const {
+  return !requests_.at(key)->done;
+}
+
+// Requests outstanding on a backend become orphans — the backend will
+// still answer them (they hold its capacity), and the reply is dropped on
+// arrival. Everything else is erased (dispatch() skips missing keys).
+void FleetProxy::abandon(std::uint64_t key) {
+  auto it = requests_.find(key);
+  if (it->second->backend >= 0)
+    it->second->orphaned = true;
+  else
+    requests_.erase(it);
+}
+
+net::Admission FleetProxy::command(const std::vector<std::string>& tokens) {
   std::ostringstream os;
-  if (tokens.size() == 1 && tokens[0] == "quit") {
-    slot.state = SessionSlot::State::kQuit;
-    return;
-  }
   if (tokens.size() == 1 && tokens[0] == "stats") {
     os << "stats " << format_proxy_stats(snapshot_live()) << "\n";
   } else if (tokens.size() == 1 && tokens[0] == "!health") {
     const ProxyStats ps = snapshot_live();
-    os << "health state=" << (draining_ ? "draining" : "ok")
+    os << "health state=" << (front_.draining() ? "draining" : "ok")
        << " healthy=" << ps.backends_healthy
        << " total=" << ps.backends_total << " pending=" << ps.pending
        << " in_flight=" << ps.in_flight << "\n";
@@ -398,9 +265,8 @@ void FleetProxy::handle_command(Session& s, SessionSlot& slot,
       op_ = std::make_unique<FleetOp>();
       op_->kind = tokens[0] == "!reload" ? FleetOp::Kind::kFlip
                                          : FleetOp::Kind::kRolling;
-      op_->session_id = s.id;
-      op_->slot_seq = slot.seq;
-      op_->started_ms = now_ms();
+      op_->key = next_key_++;
+      op_->started_ms = net::monotonic_ms();
       if (op_->kind == FleetOp::Kind::kFlip) {
         // Phase 1: quiesce. New work queues behind the flip; the flip
         // completes when nothing is running anywhere.
@@ -410,16 +276,16 @@ void FleetProxy::handle_command(Session& s, SessionSlot& slot,
           if (b->health == BackendConn::Health::kHealthy)
             op_->order.push_back(b->addr.id);
       }
-      slot.state = SessionSlot::State::kWaiting;  // deferred reply, key == 0
-      return;
+      // The reply is deferred until the op completes.
+      requests_.emplace(op_->key, std::make_unique<RequestRec>());
+      return {"", op_->key};
     }
   } else {
     net::write_error(os, "unknown verb " + (tokens.empty() ? "" : tokens[0]) +
                              " (have stats !health !fleet !reload !rolling"
                              " quit)");
   }
-  slot.state = SessionSlot::State::kText;
-  slot.text = os.str();
+  return {os.str()};
 }
 
 void FleetProxy::render_fleet(std::ostream& os) const {
@@ -438,81 +304,6 @@ void FleetProxy::render_fleet(std::ostream& os) const {
      << " ejections=" << live_.ejections << " flips=" << live_.flips
      << "\n"
      << "done\n";
-}
-
-void FleetProxy::resolve_fronts(Session& s) {
-  while (!s.slots.empty() && !s.dead) {
-    SessionSlot& front = s.slots.front();
-    switch (front.state) {
-      case SessionSlot::State::kWaiting:
-        return;
-      case SessionSlot::State::kText:
-        s.outbuf += front.text;
-        ++live_.responses;
-        s.slots.pop_front();
-        break;
-      case SessionSlot::State::kQuit:
-        s.closing = true;
-        s.slots.pop_front();
-        break;
-    }
-  }
-}
-
-void FleetProxy::flush_writes(Session& s) {
-  while (!s.outbuf.empty() && !s.dead) {
-    const fdio::IoResult r =
-        fdio::write_some(s.fd, s.outbuf.data(), s.outbuf.size());
-    if (r.would_block) return;
-    if (r.failed) {
-      ++live_.io_errors;
-      force_close(s);
-      return;
-    }
-    if (r.n > 0) {
-      s.outbuf.erase(0, static_cast<std::size_t>(r.n));
-      s.last_write_progress_ms = now_ms();
-    }
-  }
-}
-
-void FleetProxy::enforce_timeouts(Session& s, double now) {
-  if (s.dead) return;
-  if (!s.outbuf.empty() &&
-      now - s.last_write_progress_ms > options_.write_timeout_ms) {
-    force_close(s);
-    return;
-  }
-  if (s.frame_open_ms >= 0 &&
-      now - s.frame_open_ms > options_.frame_timeout_ms) {
-    force_close(s);
-    return;
-  }
-  if (!s.closing && s.outbuf.empty() && s.slots.empty() &&
-      !s.reader.mid_frame() && now - s.last_read_ms > options_.idle_timeout_ms)
-    force_close(s);
-}
-
-// Teardown. Queued requests are erased (the dispatcher skips missing
-// keys); requests outstanding on a backend become orphans — the backend
-// will still answer them (they hold its capacity), and the reply is
-// dropped on arrival.
-void FleetProxy::force_close(Session& s) {
-  if (s.dead) return;
-  for (SessionSlot& slot : s.slots) {
-    if (slot.state != SessionSlot::State::kWaiting || slot.key == 0) continue;
-    auto it = requests_.find(slot.key);
-    if (it == requests_.end()) continue;
-    if (it->second->backend < 0)
-      requests_.erase(it);
-    else
-      it->second->session_id = 0;  // orphan
-  }
-  s.slots.clear();
-  s.outbuf.clear();
-  ::close(s.fd);
-  s.fd = -1;
-  s.dead = true;
 }
 
 // ------------------------------------------------------ backend side --
@@ -617,10 +408,8 @@ void FleetProxy::on_backend_connected(BackendConn& b, double now) {
 // Closes the connection (if open) and fails over every request that was
 // outstanding on it: keys go back to the FRONT of the queue in their
 // original order, so failover never reorders a session's requests.
-void FleetProxy::close_backend(BackendConn& b, const char* why,
-                               bool count_disconnect) {
+void FleetProxy::close_backend(BackendConn& b, bool count_disconnect) {
   if (b.fd < 0 && !b.connecting) return;
-  (void)why;
   if (count_disconnect) ++live_.backend_disconnects;
   ::close(b.fd);
   b.fd = -1;
@@ -641,7 +430,7 @@ void FleetProxy::close_backend(BackendConn& b, const char* why,
 
 void FleetProxy::backend_conn_lost(BackendConn& b, double now,
                                    bool count_disconnect) {
-  close_backend(b, "lost", count_disconnect);
+  close_backend(b, count_disconnect);
   ++b.consecutive_failures;
   b.probation_successes = 0;
   if (b.was_ejected || b.health == BackendConn::Health::kProbation ||
@@ -665,8 +454,8 @@ void FleetProxy::requeue_or_fail(std::uint64_t key) {
   if (it == requests_.end()) return;
   RequestRec& rec = *it->second;
   rec.backend = -1;
-  if (rec.session_id == 0) {
-    requests_.erase(it);  // orphan: nobody is owed the reply anymore
+  if (rec.orphaned) {
+    requests_.erase(it);  // nobody is owed the reply anymore
     return;
   }
   if (rec.attempts >= options_.max_failovers) {
@@ -683,16 +472,14 @@ void FleetProxy::requeue_or_fail(std::uint64_t key) {
 void FleetProxy::finish_request(std::uint64_t key, std::string reply_text) {
   auto it = requests_.find(key);
   if (it == requests_.end()) return;
-  const std::uint64_t session_id = it->second->session_id;
-  const std::uint64_t slot_seq = it->second->slot_seq;
-  requests_.erase(it);
-  if (session_id == 0) return;
-  auto sit = sessions_.find(session_id);
-  if (sit == sessions_.end() || sit->second->dead) return;
-  SessionSlot* slot = sit->second->find_slot(slot_seq);
-  if (slot == nullptr || slot->state != SessionSlot::State::kWaiting) return;
-  slot->state = SessionSlot::State::kText;
-  slot->text = std::move(reply_text);
+  RequestRec& rec = *it->second;
+  if (rec.orphaned) {
+    requests_.erase(it);
+    return;
+  }
+  rec.backend = -1;
+  rec.done = true;
+  rec.reply = std::move(reply_text);
 }
 
 void FleetProxy::backend_flush(BackendConn& b) {
@@ -700,7 +487,7 @@ void FleetProxy::backend_flush(BackendConn& b) {
     if (failpoint::triggered("fleet.backend.reset")) {
       // Chaos hook: sever the data path mid-conversation; everything
       // outstanding fails over exactly as it would on a real death.
-      backend_conn_lost(b, now_ms(), true);
+      backend_conn_lost(b, net::monotonic_ms(), true);
       return;
     }
     const fdio::IoResult r =
@@ -708,7 +495,7 @@ void FleetProxy::backend_flush(BackendConn& b) {
     if (r.would_block) return;
     if (r.failed) {
       ++live_.io_errors;
-      backend_conn_lost(b, now_ms(), true);
+      backend_conn_lost(b, net::monotonic_ms(), true);
       return;
     }
     if (r.n > 0) b.outbuf.erase(0, static_cast<std::size_t>(r.n));
@@ -819,11 +606,11 @@ void FleetProxy::probe_failure(BackendConn& b, double now) {
       b.consecutive_failures >= options_.eject_after_failures) {
     ++live_.ejections;
     b.was_ejected = true;
-    close_backend(b, "ejected", false);
+    close_backend(b, false);
     b.health = BackendConn::Health::kEjected;
     b.ejected_at_ms = now;
   } else if (b.health == BackendConn::Health::kProbation) {
-    close_backend(b, "probation failure", false);
+    close_backend(b, false);
     b.health = BackendConn::Health::kEjected;
     b.ejected_at_ms = now;
   }
@@ -890,19 +677,11 @@ void FleetProxy::dispatch(double now) {
 
 // ----------------------------------------------------- fleet ops ------
 
-void FleetProxy::finish_fleet_op(const std::string& text, bool ok) {
-  (void)ok;
-  if (op_ == nullptr) return;
-  const std::uint64_t session_id = op_->session_id;
-  const std::uint64_t slot_seq = op_->slot_seq;
+void FleetProxy::finish_fleet_op(std::string text) {
+  const std::uint64_t key = op_->key;
   op_.reset();
   dispatch_paused_ = false;
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end() || it->second->dead) return;
-  SessionSlot* slot = it->second->find_slot(slot_seq);
-  if (slot == nullptr || slot->state != SessionSlot::State::kWaiting) return;
-  slot->state = SessionSlot::State::kText;
-  slot->text = text;
+  finish_request(key, std::move(text));
 }
 
 void FleetProxy::step_fleet_op(double now) {
@@ -916,7 +695,7 @@ void FleetProxy::step_fleet_op(double now) {
     }
     std::ostringstream os;
     net::write_error(os, "fleet operation timed out");
-    finish_fleet_op(os.str(), false);
+    finish_fleet_op(os.str());
     return;
   }
   if (op_->kind == FleetOp::Kind::kFlip) {
@@ -938,9 +717,8 @@ void FleetProxy::step_fleet_op(double now) {
       std::size_t in_rotation = 0;
       for (const auto& b : backends_)
         if (b->in_rotation()) ++in_rotation;
-      finish_fleet_op(
-          "reloaded backends=" + std::to_string(in_rotation) + "\ndone\n",
-          true);
+      finish_fleet_op("reloaded backends=" + std::to_string(in_rotation) +
+                      "\ndone\n");
     }
     return;
   }
@@ -949,9 +727,8 @@ void FleetProxy::step_fleet_op(double now) {
   for (;;) {
     if (op_->idx >= op_->order.size()) {
       ++live_.rolling_restarts;
-      finish_fleet_op(
-          "rolling restarted=" + std::to_string(op_->restarted) + "\ndone\n",
-          true);
+      finish_fleet_op("rolling restarted=" + std::to_string(op_->restarted) +
+                      "\ndone\n");
       return;
     }
     const int id = op_->order[op_->idx];
@@ -1011,159 +788,63 @@ void FleetProxy::step_fleet_op(double now) {
   }
 }
 
-// ----------------------------------------------------------- run ------
+// ----------------------------------------------------------- loop ------
+
+// Probe cadence, reconnect backoff and supervisor reaping all need
+// periodic ticks even when no fd fires, hence the fixed 20 ms timeout.
+int FleetProxy::prepare_poll(double now, std::vector<pollfd>* fds) {
+  source_.tick(now, &view_);
+  sync_backends(now);
+  probe_backends(now);
+  fd_backend_.clear();
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    const BackendConn& b = *backends_[i];
+    if (b.fd < 0) continue;
+    short events = POLLIN;
+    if (b.connecting || !b.outbuf.empty()) events |= POLLOUT;
+    fds->push_back(pollfd{b.fd, events, 0});
+    fd_backend_.push_back(static_cast<int>(i));
+  }
+  return 20;
+}
+
+void FleetProxy::pump(const pollfd* ready, std::size_t n, double now) {
+  for (std::size_t i = 0; i < n; ++i) {
+    BackendConn& b = *backends_[static_cast<std::size_t>(fd_backend_[i])];
+    if (b.fd != ready[i].fd) continue;  // replaced mid-loop
+    if (ready[i].revents & (POLLERR | POLLNVAL)) {
+      ++live_.io_errors;
+      backend_conn_lost(b, now, true);
+      continue;
+    }
+    if (b.connecting && (ready[i].revents & (POLLOUT | POLLHUP))) {
+      int err = 0;
+      socklen_t len = sizeof err;
+      ::getsockopt(b.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+      if (err != 0) {
+        backend_conn_lost(b, now, false);
+        continue;
+      }
+      on_backend_connected(b, now);
+    }
+    if (b.fd >= 0 && (ready[i].revents & (POLLIN | POLLHUP)))
+      backend_read_ready(b, now);
+    if (b.fd >= 0 && (ready[i].revents & POLLOUT)) backend_flush(b);
+  }
+  dispatch(now);
+  step_fleet_op(now);
+}
 
 void FleetProxy::run() {
-  draining_ = false;
-  double drain_start = 0;
-  std::vector<pollfd> fds;
-  std::vector<std::uint64_t> fd_session;  // session id, 0 = none
-  std::vector<int> fd_backend;            // index into backends_, -1 = none
-  for (;;) {
-    const double tick_now = now_ms();
-    source_.tick(tick_now, &view_);
-    sync_backends(tick_now);
-    probe_backends(tick_now);
-
-    fds.clear();
-    fd_session.clear();
-    fd_backend.clear();
-    fds.push_back(pollfd{wake_.read_fd(), POLLIN, 0});
-    fd_session.push_back(0);
-    fd_backend.push_back(-1);
-    std::size_t listener_idx = 0;
-    if (!draining_ && listener_ >= 0) {
-      listener_idx = fds.size();
-      fds.push_back(pollfd{listener_, POLLIN, 0});
-      fd_session.push_back(0);
-      fd_backend.push_back(-1);
+  front_.run();
+  for (auto& b : backends_)
+    if (b->fd >= 0) {
+      ::close(b->fd);
+      b->fd = -1;
+      b->connecting = false;
+      b->ops.clear();
     }
-    for (auto& [id, sp] : sessions_) {
-      Session& s = *sp;
-      if (s.dead) continue;
-      short events = 0;
-      if (!s.closing && !draining_) events |= POLLIN;
-      if (!s.outbuf.empty()) events |= POLLOUT;
-      fds.push_back(pollfd{s.fd, events, 0});
-      fd_session.push_back(id);
-      fd_backend.push_back(-1);
-    }
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      BackendConn& b = *backends_[i];
-      if (b.fd < 0) continue;
-      short events = POLLIN;
-      if (b.connecting || !b.outbuf.empty()) events |= POLLOUT;
-      fds.push_back(pollfd{b.fd, events, 0});
-      fd_session.push_back(0);
-      fd_backend.push_back(static_cast<int>(i));
-    }
-
-    // Probe cadence, reconnect backoff and supervisor reaping all need
-    // periodic ticks even when no fd fires.
-    const int nready = ::poll(fds.data(), fds.size(), 20);
-    if (nready < 0 && errno != EINTR) ++live_.io_errors;
-    wake_.drain();
-
-    if (stop_requested_.load(std::memory_order_acquire) && !draining_) {
-      draining_ = true;
-      drain_start = now_ms();
-      if (listener_ >= 0) ::close(listener_);
-      listener_ = -1;
-    }
-
-    const double now = now_ms();
-    if (!draining_ && nready > 0 && listener_idx != 0 &&
-        (fds[listener_idx].revents & POLLIN))
-      accept_ready();
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fd_backend[i] >= 0) {
-        BackendConn& b = *backends_[static_cast<std::size_t>(fd_backend[i])];
-        if (b.fd != fds[i].fd) continue;  // replaced mid-loop
-        if (fds[i].revents & (POLLERR | POLLNVAL)) {
-          ++live_.io_errors;
-          backend_conn_lost(b, now, true);
-          continue;
-        }
-        if (b.connecting && (fds[i].revents & (POLLOUT | POLLHUP))) {
-          int err = 0;
-          socklen_t len = sizeof err;
-          ::getsockopt(b.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-          if (err != 0) {
-            backend_conn_lost(b, now, false);
-            continue;
-          }
-          on_backend_connected(b, now);
-        }
-        if (b.fd >= 0 && (fds[i].revents & (POLLIN | POLLHUP)))
-          backend_read_ready(b, now);
-        if (b.fd >= 0 && (fds[i].revents & POLLOUT)) backend_flush(b);
-        continue;
-      }
-      if (fd_session[i] == 0) continue;
-      auto it = sessions_.find(fd_session[i]);
-      if (it == sessions_.end() || it->second->dead) continue;
-      Session& s = *it->second;
-      if (fds[i].revents & (POLLERR | POLLNVAL)) {
-        ++live_.io_errors;
-        force_close(s);
-        continue;
-      }
-      if (!draining_ && (fds[i].revents & (POLLIN | POLLHUP))) read_ready(s);
-    }
-
-    dispatch(now);
-    step_fleet_op(now);
-
-    for (auto& [id, sp] : sessions_) {
-      if (sp->dead) continue;
-      resolve_fronts(*sp);
-      flush_writes(*sp);
-      enforce_timeouts(*sp, now);
-      if (!sp->dead && sp->closing && sp->slots.empty() && sp->outbuf.empty()) {
-        ::close(sp->fd);
-        sp->fd = -1;
-        sp->dead = true;
-      }
-    }
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (it->second->dead)
-        it = sessions_.erase(it);
-      else
-        ++it;
-    }
-
-    {
-      std::lock_guard<std::mutex> lk(stats_mutex_);
-      stats_ = snapshot_live();
-    }
-
-    if (draining_) {
-      bool work_left = !queue_.empty() || !requests_.empty();
-      for (auto& [id, sp] : sessions_)
-        if (!sp->dead && (!sp->slots.empty() || !sp->outbuf.empty()))
-          work_left = true;
-      if (!work_left || now - drain_start > options_.drain_timeout_ms) {
-        for (auto& [id, sp] : sessions_)
-          if (!sp->dead) {
-            ::close(sp->fd);
-            sp->fd = -1;
-            sp->dead = true;
-          }
-        sessions_.clear();
-        for (auto& b : backends_)
-          if (b->fd >= 0) {
-            ::close(b->fd);
-            b->fd = -1;
-            b->connecting = false;
-            b->ops.clear();
-          }
-        std::lock_guard<std::mutex> lk(stats_mutex_);
-        stats_ = snapshot_live();
-        stats_.active_sessions = 0;
-        return;
-      }
-    }
-  }
+  publish();
 }
 
 }  // namespace sddict::fleet

@@ -1,7 +1,8 @@
-// Round-robin fleet proxy: one poll() event loop (the src/net pattern)
-// multiplexing client sessions on the front and one connection per
-// backend on the back, with health probing, circuit-breaker ejection,
-// transparent failover, and fleet-wide epoch-consistent hot swap.
+// Round-robin fleet proxy: the shared client front end (net/client_front.h)
+// multiplexes client sessions, and this dispatcher keeps one connection
+// per backend in the same poll() loop, with health probing,
+// circuit-breaker ejection, transparent failover, and fleet-wide
+// epoch-consistent hot swap.
 //
 // Request path. A client datalog frame becomes a RequestRec with an
 // idempotent request key; keys queue FIFO and are dealt round-robin to
@@ -40,10 +41,8 @@
 // the entry reload covers them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,8 +50,7 @@
 #include <vector>
 
 #include "fleet/supervisor.h"
-#include "net/protocol.h"
-#include "util/fdio.h"
+#include "net/client_front.h"
 
 namespace sddict::fleet {
 
@@ -81,6 +79,7 @@ struct ProxyOptions {
 
 struct ProxyStats {
   std::uint64_t accepted = 0;
+  std::uint64_t frames = 0;             // complete datalog frames parsed
   std::uint64_t responses = 0;          // replies forwarded or rendered
   std::uint64_t busy_shed = 0;          // proxy-issued busy replies
   std::uint64_t failovers = 0;          // requests re-dealt after a death
@@ -103,7 +102,9 @@ struct ProxyStats {
 
 std::string format_proxy_stats(const ProxyStats& s);
 
-class FleetProxy {
+// The backend-pool dispatcher behind the shared client front end
+// (net/client_front.h), which owns the client sessions.
+class FleetProxy : private net::Dispatcher {
  public:
   FleetProxy(BackendSource& source, const ProxyOptions& options);
   ~FleetProxy();
@@ -112,7 +113,7 @@ class FleetProxy {
 
   // Binds and listens; throws std::runtime_error on failure.
   void start();
-  int tcp_port() const { return bound_tcp_port_; }
+  int tcp_port() const { return front_.tcp_port(); }
 
   // Runs the event loop until request_stop(), then drains every accepted
   // request (dispatch and failover keep working during the drain) and
@@ -124,27 +125,26 @@ class FleetProxy {
   ProxyStats stats() const;
 
  private:
-  struct Session;
-  struct SessionSlot;
   struct BackendConn;
   struct RequestRec;
   struct FleetOp;
 
-  void accept_ready();
-  void read_ready(Session& s);
-  void handle_frame(Session& s, net::Frame frame);
-  void handle_command(Session& s, SessionSlot& slot,
-                      std::vector<std::string> tokens);
-  void resolve_fronts(Session& s);
-  void flush_writes(Session& s);
-  void enforce_timeouts(Session& s, double now);
-  void force_close(Session& s);
-  std::uint32_t retry_hint() const;
+  // net::Dispatcher.
+  net::Admission admit(net::Frame frame, bool session_full) override;
+  bool resolve(std::uint64_t key, std::string* reply) override;
+  bool owed(std::uint64_t key) const override;
+  void abandon(std::uint64_t key) override;
+  std::size_t queued() const override { return queue_.size(); }
+  bool idle() const override { return queue_.empty() && requests_.empty(); }
+  int prepare_poll(double now, std::vector<pollfd>* fds) override;
+  void pump(const pollfd* ready, std::size_t n, double now) override;
+  void publish() override;
 
+  net::Admission command(const std::vector<std::string>& tokens);
   void sync_backends(double now);
   void connect_backend(BackendConn& b, double now);
   void on_backend_connected(BackendConn& b, double now);
-  void close_backend(BackendConn& b, const char* why, bool count_disconnect);
+  void close_backend(BackendConn& b, bool count_disconnect);
   void backend_conn_lost(BackendConn& b, double now, bool count_disconnect);
   void backend_read_ready(BackendConn& b, double now);
   void consume_backend_line(BackendConn& b, std::string line, double now);
@@ -157,22 +157,14 @@ class FleetProxy {
   void requeue_or_fail(std::uint64_t key);
   void finish_request(std::uint64_t key, std::string reply_text);
   void step_fleet_op(double now);
-  void finish_fleet_op(const std::string& text, bool ok);
+  void finish_fleet_op(std::string text);
   void render_fleet(std::ostream& os) const;
 
-  double now_ms() const;
   ProxyStats snapshot_live() const;
 
   BackendSource& source_;
   ProxyOptions options_;
-  int listener_ = -1;
-  int bound_tcp_port_ = -1;
-  fdio::WakePipe wake_;
-  std::atomic<bool> stop_requested_{false};
-  bool draining_ = false;
-
-  std::uint64_t next_session_id_ = 1;
-  std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
+  net::ClientFront front_;
 
   std::uint64_t next_key_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<RequestRec>> requests_;
@@ -181,10 +173,11 @@ class FleetProxy {
 
   FleetView view_;
   std::vector<std::unique_ptr<BackendConn>> backends_;
+  std::vector<int> fd_backend_;   // backend index per pollfd we added
   bool dispatch_paused_ = false;  // epoch-flip quiesce
   std::unique_ptr<FleetOp> op_;   // at most one flip/rolling at a time
 
-  ProxyStats live_;
+  ProxyStats live_;  // backend-side counters; client-side ones are front_'s
   mutable std::mutex stats_mutex_;
   ProxyStats stats_;
 };

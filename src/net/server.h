@@ -1,8 +1,9 @@
 // Event-loop TCP (+ Unix-socket) front end over the DiagnosisService MPMC
 // batcher: one poll() loop multiplexes every client session, so the
-// serving tier survives what the old accept-and-serve-serially loop could
-// not — bursty concurrent connections, slow-loris peers, mid-frame
-// disconnects, and sustained overload.
+// serving tier survives bursty concurrent connections, slow-loris peers,
+// mid-frame disconnects, and sustained overload. The loop and everything
+// client-facing is net::ClientFront (net/client_front.h), shared with the
+// fleet proxy; NetServer is its local dispatcher.
 //
 // Robustness model, in order of the request path:
 //
@@ -28,26 +29,21 @@
 //               timeout.
 //   shutdown    request_stop() (async-signal-safe) stops accepting and
 //               reading, completes every accepted request, flushes every
-//               reply, then returns from run() — bounded by
-//               drain_timeout_ms.
+//               reply, closes each session gracefully (FIN, then discard
+//               input, so no reset destroys a reply), then returns from
+//               run() — bounded by drain_timeout_ms.
 //
 // The loop itself is single-threaded; concurrency lives in the service's
 // dispatcher/pool. stats() may be called from any thread.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "net/protocol.h"
 #include "serve/diagnosis_service.h"
-#include "util/fdio.h"
 
 namespace sddict::net {
 
@@ -90,6 +86,11 @@ struct NetStats {
 
 std::string format_net_stats(const NetStats& s);
 
+class ClientFront;
+
+// The local dispatcher behind the shared client front end
+// (net/client_front.h): parsed datalogs queue in a bounded pending deque
+// and are fed to DiagnosisService::try_submit as capacity allows.
 class NetServer {
  public:
   // How the loop reaches the serving layer. service() resolves the
@@ -129,7 +130,7 @@ class NetServer {
   void start();
   // The actually-bound TCP port (after start(); kernel-assigned when the
   // option was 0), or -1 without a TCP listener.
-  int tcp_port() const { return bound_tcp_port_; }
+  int tcp_port() const;
 
   // Runs the event loop until request_stop(), then drains and returns.
   void run();
@@ -140,45 +141,10 @@ class NetServer {
   NetStats stats() const;
 
  private:
-  struct Session;
-  struct Pending;
+  class Local;  // the Dispatcher implementation (server.cpp)
 
-  void accept_ready(int listener);
-  void read_ready(Session& s);
-  void handle_frame(Session& s, Frame frame);
-  void pump_admission();
-  void resolve_fronts(Session& s);
-  void flush_writes(Session& s);
-  void enforce_timeouts(Session& s, double now_ms);
-  void force_close(Session& s, bool count_midframe);
-  std::uint32_t retry_hint() const;
-  double now_ms() const;
-  NetStats snapshot_live() const;
-
-  Backend& backend_;
-  NetServerOptions options_;
-  int tcp_listener_ = -1;
-  int unix_listener_ = -1;
-  int bound_tcp_port_ = -1;
-  fdio::WakePipe wake_;
-  std::atomic<bool> stop_requested_{false};
-  bool draining_ = false;  // loop-thread-only; reported by `!health`
-
-  std::uint64_t next_session_id_ = 1;
-  std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
-  std::deque<Pending> pending_;      // admission queue, front = oldest
-  std::size_t inflight_ = 0;         // dispatched into the service
-  // Futures of force-closed sessions: still occupy service capacity, so
-  // they are polled until resolution to keep inflight_ honest.
-  std::vector<std::future<ServiceResponse>> orphans_;
-
-  // The loop thread owns live_ lock-free; once per iteration it publishes
-  // a copy into stats_ under the mutex, which is all stats() ever reads —
-  // so cross-thread observation is at most one loop tick stale and
-  // TSan-clean.
-  NetStats live_;
-  mutable std::mutex stats_mutex_;
-  NetStats stats_;
+  std::unique_ptr<Local> local_;
+  std::unique_ptr<ClientFront> front_;
 };
 
 }  // namespace sddict::net

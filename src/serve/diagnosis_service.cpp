@@ -78,51 +78,17 @@ std::string format_service_stats(const ServiceStats& s) {
   return out.str();
 }
 
-DiagnosisService::DiagnosisService(SignatureStore store,
-                                   const ServiceOptions& options)
-    : backend_(std::move(store)), options_(options), pool_(options.threads) {
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
-
 DiagnosisService::DiagnosisService(std::shared_ptr<const SignatureStore> store,
                                    const ServiceOptions& options)
-    : backend_(std::move(store)), options_(options), pool_(options.threads) {
-  if (!std::get<std::shared_ptr<const SignatureStore>>(backend_))
-    throw std::runtime_error("DiagnosisService: null shared store");
+    : store_(std::move(store)), options_(options), pool_(options.threads) {
+  if (!store_) throw std::runtime_error("DiagnosisService: null shared store");
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
-DiagnosisService::DiagnosisService(PassFailDictionary dict,
+DiagnosisService::DiagnosisService(SignatureStore store,
                                    const ServiceOptions& options)
-    : backend_(std::move(dict)), options_(options), pool_(options.threads) {
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
-
-DiagnosisService::DiagnosisService(SameDifferentDictionary dict,
-                                   const ServiceOptions& options)
-    : backend_(std::move(dict)), options_(options), pool_(options.threads) {
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
-
-DiagnosisService::DiagnosisService(MultiBaselineDictionary dict,
-                                   const ServiceOptions& options)
-    : backend_(std::move(dict)), options_(options), pool_(options.threads) {
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
-
-DiagnosisService::DiagnosisService(FullDictionary dict,
-                                   const ServiceOptions& options)
-    : backend_(std::move(dict)), options_(options), pool_(options.threads) {
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
-
-DiagnosisService::DiagnosisService(FirstFailDictionary dict, ResponseMatrix rm,
-                                   const ServiceOptions& options)
-    : backend_(FirstFailBackend{std::move(dict), std::move(rm)}),
-      options_(options),
-      pool_(options.threads) {
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
+    : DiagnosisService(std::make_shared<const SignatureStore>(std::move(store)),
+                       options) {}
 
 DiagnosisService::~DiagnosisService() {
   shutdown();
@@ -135,47 +101,19 @@ DiagnosisService::~DiagnosisService() {
 }
 
 std::size_t DiagnosisService::num_tests() const {
-  return std::visit(
-      [this](const auto& b) -> std::size_t {
-        using B = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<B, FirstFailBackend>)
-          return b.dict.num_tests();
-        else if constexpr (std::is_same_v<B,
-                                          std::shared_ptr<const SignatureStore>>) {
-          std::lock_guard<std::mutex> lk(swap_mutex_);
-          return b->num_tests();
-        } else
-          return b.num_tests();
-      },
-      backend_);
+  return current_store()->num_tests();
 }
 
 std::size_t DiagnosisService::num_faults() const {
-  return std::visit(
-      [this](const auto& b) -> std::size_t {
-        using B = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<B, FirstFailBackend>)
-          return b.dict.num_faults();
-        else if constexpr (std::is_same_v<B,
-                                          std::shared_ptr<const SignatureStore>>) {
-          std::lock_guard<std::mutex> lk(swap_mutex_);
-          return b->num_faults();
-        } else
-          return b.num_faults();
-      },
-      backend_);
+  return current_store()->num_faults();
 }
 
 void DiagnosisService::swap_store(std::shared_ptr<const SignatureStore> next) {
   if (!next)
     throw std::runtime_error("DiagnosisService: swap_store on a null store");
-  auto* slot = std::get_if<std::shared_ptr<const SignatureStore>>(&backend_);
-  if (!slot)
-    throw std::runtime_error(
-        "DiagnosisService: swap_store outside repository-backed mode");
   {
     std::lock_guard<std::mutex> lk(swap_mutex_);
-    *slot = std::move(next);
+    store_ = std::move(next);
     // Release-publish AFTER the pointer: the dispatcher's acquire load of
     // the epoch at its next batch then implies it sees the new store too,
     // so its cache flush and the swap can never be observed out of order.
@@ -186,12 +124,8 @@ void DiagnosisService::swap_store(std::shared_ptr<const SignatureStore> next) {
 }
 
 std::shared_ptr<const SignatureStore> DiagnosisService::current_store() const {
-  if (auto* slot =
-          std::get_if<std::shared_ptr<const SignatureStore>>(&backend_)) {
-    std::lock_guard<std::mutex> lk(swap_mutex_);
-    return *slot;
-  }
-  return nullptr;
+  std::lock_guard<std::mutex> lk(swap_mutex_);
+  return store_;
 }
 
 std::future<ServiceResponse> DiagnosisService::submit(
@@ -326,26 +260,10 @@ EngineDiagnosis DiagnosisService::run_one(const std::vector<Observed>& observed,
         (options_.deadline_ms - ms_since(submitted)) / 1000.0;
     opt.budget.max_seconds = std::max(remaining_s, 1e-9);
   }
-  return std::visit(
-      [&](const auto& b) -> EngineDiagnosis {
-        using B = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<B, FirstFailBackend>)
-          return diagnose_observed(b.dict, b.rm, observed, opt);
-        else if constexpr (std::is_same_v<B,
-                                          std::shared_ptr<const SignatureStore>>) {
-          // Snapshot the published pointer; the request then ranks against
-          // that version even if a swap lands mid-rank, and keeps the old
-          // store alive until it resolves.
-          std::shared_ptr<const SignatureStore> snap;
-          {
-            std::lock_guard<std::mutex> lk(swap_mutex_);
-            snap = b;
-          }
-          return diagnose_observed(*snap, observed, opt);
-        } else
-          return diagnose_observed(b, observed, opt);
-      },
-      backend_);
+  // Snapshot the published pointer; the request then ranks against that
+  // version even if a swap lands mid-rank, and keeps the old store alive
+  // until it resolves.
+  return diagnose_observed(*current_store(), observed, opt);
 }
 
 void DiagnosisService::process_batch(std::vector<Request>& batch) {

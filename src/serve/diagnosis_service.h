@@ -1,6 +1,8 @@
 // Concurrent batched diagnosis service — the query-serving layer over one
-// packed SignatureStore (or, for the equivalence harness, one dictionary)
-// and the noise-tolerant engine (diag/engine.h).
+// packed SignatureStore and the noise-tolerant engine (diag/engine.h).
+// Every dictionary kind reaches it as a store (SignatureStore::build);
+// first-fail dictionaries, which a store carries as their pass/fail
+// projection, stay reachable natively through diagnose_observed().
 //
 // Shape: producers submit() qualified observations into a bounded MPMC
 // queue (submit blocks when the queue is full — backpressure, not
@@ -37,7 +39,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "diag/engine.h"
@@ -102,25 +103,13 @@ double percentile_from_buckets(const std::uint64_t* buckets,
 
 class DiagnosisService {
  public:
-  // Store-backed service: the deployment path.
-  DiagnosisService(SignatureStore store, const ServiceOptions& options = {});
-  // Repository-backed (hot-swappable) service: the store is shared, and
-  // swap_store() can atomically publish a replacement version at any time.
-  // Throws std::runtime_error on a null store.
+  // Serves a shared store; swap_store() can atomically publish a
+  // replacement version at any time. Throws std::runtime_error on a null
+  // store.
   DiagnosisService(std::shared_ptr<const SignatureStore> store,
                    const ServiceOptions& options = {});
-  // Dictionary-backed services: same engine, same batching, no packed
-  // rows. These exist so every dictionary type (including first-fail,
-  // which a store can only carry as its pass/fail projection) can be
-  // served and equivalence-tested against the direct engine call.
-  DiagnosisService(PassFailDictionary dict, const ServiceOptions& options = {});
-  DiagnosisService(SameDifferentDictionary dict,
-                   const ServiceOptions& options = {});
-  DiagnosisService(MultiBaselineDictionary dict,
-                   const ServiceOptions& options = {});
-  DiagnosisService(FullDictionary dict, const ServiceOptions& options = {});
-  DiagnosisService(FirstFailDictionary dict, ResponseMatrix rm,
-                   const ServiceOptions& options = {});
+  // Takes ownership of `store` (wrapped into a shared_ptr).
+  DiagnosisService(SignatureStore store, const ServiceOptions& options = {});
 
   // Drains every in-flight and queued request, then joins.
   ~DiagnosisService();
@@ -162,14 +151,14 @@ class DiagnosisService {
 
   ServiceStats stats() const;
 
-  // Hot-swap (repository-backed mode only; throws otherwise). Publication
-  // is atomic: requests already ranking finish on the version they
-  // snapshotted at dispatch; every later request sees `next`. The old
-  // version is retired when the last in-flight reference drains. The
-  // dispatcher's result cache is invalidated at its next batch, so a
-  // content-changing swap can never serve a stale cached ranking.
+  // Hot-swap; throws on a null store. Publication is atomic: requests
+  // already ranking finish on the version they snapshotted at dispatch;
+  // every later request sees `next`. The old version is retired when the
+  // last in-flight reference drains. The dispatcher's result cache is
+  // invalidated at its next batch, so a content-changing swap can never
+  // serve a stale cached ranking.
   void swap_store(std::shared_ptr<const SignatureStore> next);
-  // The currently published store, or nullptr outside repository mode.
+  // The currently published store.
   std::shared_ptr<const SignatureStore> current_store() const;
 
  private:
@@ -193,17 +182,8 @@ class DiagnosisService {
                           bool allow_sharding = false);
   void record(const EngineDiagnosis& d, bool cache_hit, double latency_ms);
 
-  // Exactly one alternative is engaged for the service's lifetime.
-  struct FirstFailBackend {
-    FirstFailDictionary dict;
-    ResponseMatrix rm;
-  };
-  // The shared_ptr alternative is the hot-swappable (repository-backed)
-  // mode; reads and writes of the pointer itself go through swap_mutex_.
-  std::variant<SignatureStore, std::shared_ptr<const SignatureStore>,
-               PassFailDictionary, SameDifferentDictionary,
-               MultiBaselineDictionary, FullDictionary, FirstFailBackend>
-      backend_;
+  // Reads and writes of the published pointer go through swap_mutex_.
+  std::shared_ptr<const SignatureStore> store_;
   mutable std::mutex swap_mutex_;
   std::atomic<std::uint64_t> swap_epoch_{0};
   std::uint64_t seen_swap_epoch_ = 0;  // dispatcher-thread-only

@@ -179,7 +179,12 @@ void ThreadPool::parallel_for_chunks(
     return;
   }
 
-  std::atomic<std::size_t> remaining{num_chunks};
+  // The barrier lives on this stack frame, so no worker may touch it after
+  // the caller can see the count reach zero: every decrement happens under
+  // done_mutex and the last one notifies before unlocking. With a lock-free
+  // decrement the caller could return while the last worker was still
+  // locking the mutex and signalling the condvar in a dead frame.
+  std::size_t remaining = num_chunks;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -196,15 +201,13 @@ void ThreadPool::parallel_for_chunks(
           capture_error();
         }
       }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   {
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining.load() == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (std::exception_ptr err = take_error()) std::rethrow_exception(err);
 }

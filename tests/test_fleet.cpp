@@ -522,8 +522,10 @@ TEST(FleetProxying, DrainAnswersEveryAcceptedRequest) {
   const auto obs = fault_observation(6);
   const std::string frame = frame_text(obs);
   client.send_raw(frame + frame + frame);
+  // Stop only after the proxy has parsed all three frames; drain mode
+  // stops reading but must answer everything already parsed.
   ASSERT_TRUE(fleet.wait_stats(
-      [](const fleet::ProxyStats& s) { return s.accepted >= 1; }));
+      [](const fleet::ProxyStats& s) { return s.frames >= 3; }));
   fleet.proxy().request_stop();
   for (int i = 0; i < 3; ++i) {
     const net::Reply reply = client.read_reply();

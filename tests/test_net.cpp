@@ -244,6 +244,10 @@ TEST(NetServing, ConcurrentClientsStayByteIdentical) {
   }
   for (auto& t : threads) t.join();
   for (const std::string& f : failures) EXPECT_EQ(f, "");
+  // Stats are published once per loop tick: poll, don't read once.
+  EXPECT_TRUE(server.wait_stats([](const net::NetStats& s) {
+    return s.frames == static_cast<std::uint64_t>(kClients * kRequests);
+  }));
   const net::NetStats s = server.stats();
   EXPECT_EQ(s.accepted, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(s.frames, static_cast<std::uint64_t>(kClients * kRequests));

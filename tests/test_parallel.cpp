@@ -90,6 +90,31 @@ TEST(ThreadPool, ManySmallWavesStress) {
   EXPECT_EQ(sum.load(), 200u * (1 + 2 + 3 + 4 + 5 + 6 + 7));
 }
 
+// Overwrites the stack region a just-returned parallel_for_chunks frame
+// used, so a worker still touching that frame's barrier sees garbage.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[512];
+  for (std::size_t i = 0; i < sizeof junk; ++i)
+    junk[i] = static_cast<unsigned char>(0xa5 ^ i);
+}
+
+TEST(ThreadPool, BackToBackChunkBarriersStress) {
+  // parallel_for_chunks keeps its completion barrier on the caller's
+  // stack. Thousands of back-to-back barriers, each followed by a call
+  // that reuses the same stack, catch any worker that still locks the
+  // barrier mutex or signals its condvar after the caller has returned.
+  ThreadPool pool(4);
+  std::atomic<std::size_t> sum{0};
+  constexpr std::size_t kRounds = 20000;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    pool.parallel_for_chunks(0, 16, 16, [&](std::size_t b, std::size_t e) {
+      sum.fetch_add(e - b, std::memory_order_relaxed);
+    });
+    scribble_stack();
+  }
+  EXPECT_EQ(sum.load(), kRounds * 16);
+}
+
 // ------------------------------------------------- deterministic results --
 
 void expect_same_matrix(const ResponseMatrix& a, const ResponseMatrix& b) {

@@ -641,16 +641,18 @@ TEST(RepositoryHotSwap, SwapToChangedContentInvalidatesTheCache) {
   EXPECT_EQ(service.stats().swaps, 1u);
 }
 
-TEST(RepositoryHotSwap, SwapOutsideRepositoryModeThrows) {
+TEST(RepositoryHotSwap, ByValueServiceSwapsNullSwapThrows) {
+  // A service built from a store by value wraps it into a shared_ptr, so
+  // hot swap works the same as for a repository-backed service.
   DiagnosisService service(SignatureStore::build(sd_dict()), ServiceOptions{});
-  EXPECT_EQ(service.current_store(), nullptr);
-  EXPECT_THROW(service.swap_store(std::make_shared<const SignatureStore>(
-                   SignatureStore::build(sd_dict()))),
-               std::runtime_error);
-  auto shared = std::make_shared<const SignatureStore>(
+  ASSERT_NE(service.current_store(), nullptr);
+  auto next = std::make_shared<const SignatureStore>(
       SignatureStore::build(sd_dict()));
-  DiagnosisService swappable(shared, ServiceOptions{});
-  EXPECT_THROW(swappable.swap_store(nullptr), std::runtime_error);
+  service.swap_store(next);
+  EXPECT_EQ(service.current_store().get(), next.get());
+  EXPECT_EQ(service.stats().swaps, 1u);
+  EXPECT_THROW(service.swap_store(nullptr), std::runtime_error);
+  EXPECT_EQ(service.current_store().get(), next.get());
 }
 
 // ----------------------------------------------------- crash consistency --

@@ -1,11 +1,11 @@
-// Serving suite (ISSUE 4): the DiagnosisService over packed stores and
-// dictionaries.
+// Serving suite: the DiagnosisService over packed stores.
 //
 //  * the single-query equivalence gate — a service configured with
 //    batch = 1, cache off and no deadline returns results bit-identical to
-//    calling diagnose_observed() directly, for ALL FIVE dictionary types
-//    (pass/fail, same/different, multi-baseline, first-fail, full) and the
-//    store-backed path, on clean and on noisy observations;
+//    calling diagnose_observed() directly on the same store, for stores
+//    built from ALL FIVE dictionary types (pass/fail, same/different,
+//    multi-baseline, first-fail, full), on clean and on noisy
+//    observations;
 //  * batching and caching preserve those results, with cache_hit reported
 //    on repeats;
 //  * per-request deadlines resolve (anytime semantics) instead of throwing;
@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -154,13 +155,18 @@ ServiceOptions gate_options() {
   return o;
 }
 
-template <typename Backend>
-void run_equivalence_gate(Backend backend, const char* what) {
-  DiagnosisService service(backend, gate_options());
-  for (const auto& obs : observation_stream(10, 0xabc)) {
+// Every dictionary kind reaches the service as a store; the gate pins the
+// service to the direct engine call on that same store.
+template <typename Dict>
+void run_equivalence_gate(const Dict& dict, const char* what,
+                          std::uint64_t seed = 0xabc) {
+  const auto store =
+      std::make_shared<const SignatureStore>(SignatureStore::build(dict));
+  DiagnosisService service(store, gate_options());
+  for (const auto& obs : observation_stream(10, seed)) {
     const ServiceResponse r = service.diagnose(obs);
     EXPECT_FALSE(r.cache_hit) << what;
-    expect_same_diagnosis(r.diagnosis, diagnose_observed(backend, obs), what);
+    expect_same_diagnosis(r.diagnosis, diagnose_observed(*store, obs), what);
   }
 }
 
@@ -183,13 +189,7 @@ TEST(ServingGate, MultiBaseline) {
 TEST(ServingGate, Full) { run_equivalence_gate(full_dict(), "full"); }
 
 TEST(ServingGate, FirstFail) {
-  const FirstFailDictionary ff = FirstFailDictionary::build(rm());
-  DiagnosisService service(ff, rm(), gate_options());
-  for (const auto& obs : observation_stream(10, 0xdef)) {
-    const ServiceResponse r = service.diagnose(obs);
-    expect_same_diagnosis(r.diagnosis, diagnose_observed(ff, rm(), obs),
-                          "first-fail");
-  }
+  run_equivalence_gate(FirstFailDictionary::build(rm()), "first-fail", 0xdef);
 }
 
 TEST(ServingGate, StoreBacked) {
@@ -263,7 +263,7 @@ TEST(Serving, CacheEvictsBeyondCapacity) {
   o.threads = 1;
   o.batch = 1;
   o.cache = 2;
-  DiagnosisService service(pf, o);
+  DiagnosisService service(SignatureStore::build(pf), o);
 
   const auto stream = observation_stream(6, 0x444);
   for (const auto& obs : stream) service.diagnose(obs);
@@ -331,7 +331,7 @@ TEST(Serving, ShutdownDrainsThenRejects) {
   ServiceOptions o;
   o.threads = 1;
   o.batch = 4;
-  DiagnosisService service(pf, o);
+  DiagnosisService service(SignatureStore::build(pf), o);
 
   const auto stream = observation_stream(6, 0x777);
   std::vector<std::future<ServiceResponse>> futures;
