@@ -1,7 +1,9 @@
 // Thread-scaling of the dictionary-construction pipeline: fault simulation
-// (build_response_matrix) and Procedure-1 restarts (run_procedure1) at
-// 1/2/4/8 threads, with a built-in bit-identity check of every multi-thread
-// result against the single-thread reference — the parallel pipeline
+// (build_response_matrix), Procedure-1 restarts (run_procedure1), then the
+// single-threaded Procedure 2 (run_procedure2) and same/different
+// dictionary build, at 1/2/4/8 threads, with a built-in bit-identity check
+// of every multi-thread result (matrix, both procedures' baselines, pair
+// counts) against the first thread count's — the parallel pipeline
 // guarantees identical output at every thread count, and this bench fails
 // (exit 1) if that ever breaks.
 //
@@ -15,6 +17,8 @@
 
 #include "bmcirc/registry.h"
 #include "core/baseline.h"
+#include "core/procedure2.h"
+#include "dict/samediff_dict.h"
 #include "fault/collapse.h"
 #include "json_writer.h"
 #include "netlist/transform.h"
@@ -46,6 +50,12 @@ bool same_selection(const BaselineSelection& a, const BaselineSelection& b) {
          a.distinguished_pairs == b.distinguished_pairs &&
          a.indistinguished_pairs == b.indistinguished_pairs &&
          a.calls_used == b.calls_used;
+}
+
+bool same_procedure2(const Procedure2Result& a, const Procedure2Result& b) {
+  return a.baselines == b.baselines &&
+         a.indistinguished_pairs == b.indistinguished_pairs &&
+         a.replacements == b.replacements && a.sweeps == b.sweeps;
 }
 
 int usage() {
@@ -100,8 +110,9 @@ int main(int argc, char** argv) {
   std::printf("Parallel dictionary-construction scaling "
               "(%zu random tests, CALLS1=%zu, %zu hardware threads)\n\n",
               num_tests, bcfg.calls1, ThreadPool::default_num_threads());
-  std::printf("%-8s %8s %10s %10s %10s %9s %10s\n", "circuit", "threads",
-              "sim (s)", "proc1 (s)", "total (s)", "speedup", "identical");
+  std::printf("%-8s %8s %10s %10s %10s %10s %10s %9s %10s\n", "circuit",
+              "threads", "sim (s)", "proc1 (s)", "proc2 (s)", "s/d (s)",
+              "total (s)", "speedup", "identical");
 
   const std::string json_path = args.get("json");
   std::vector<bench::JsonRecord> records;
@@ -121,6 +132,7 @@ int main(int argc, char** argv) {
 
     ResponseMatrix reference_rm;
     BaselineSelection reference_sel;
+    Procedure2Result reference_p2;
     double base_total = 0;
     for (std::size_t threads : thread_counts) {
       Timer sim_timer;
@@ -132,20 +144,31 @@ int main(int argc, char** argv) {
       Timer p1_timer;
       BaselineSelection sel = run_procedure1(rm, bcfg);
       const double p1_s = p1_timer.seconds();
-      const double total = sim_s + p1_s;
 
-      bool identical = true;
+      Timer p2_timer;
+      Procedure2Result p2 = run_procedure2(rm, sel.baselines);
+      const double p2_s = p2_timer.seconds();
+
+      Timer sd_timer;
+      const SameDifferentDictionary sd =
+          SameDifferentDictionary::build(rm, p2.baselines);
+      const double sd_s = sd_timer.seconds();
+      const double total = sim_s + p1_s + p2_s + sd_s;
+
+      bool identical = sd.indistinguished_pairs() == p2.indistinguished_pairs;
       if (threads == thread_counts.front()) {
         reference_rm = std::move(rm);
         reference_sel = std::move(sel);
+        reference_p2 = std::move(p2);
         base_total = total;
       } else {
-        identical = same_matrix(reference_rm, rm) &&
-                    same_selection(reference_sel, sel);
-        all_identical = all_identical && identical;
+        identical = identical && same_matrix(reference_rm, rm) &&
+                    same_selection(reference_sel, sel) &&
+                    same_procedure2(reference_p2, p2);
       }
-      std::printf("%-8s %8zu %10.3f %10.3f %10.3f %8.2fx %10s\n", name.c_str(),
-                  threads, sim_s, p1_s, total,
+      all_identical = all_identical && identical;
+      std::printf("%-8s %8zu %10.3f %10.3f %10.3f %10.3f %10.3f %8.2fx %10s\n",
+                  name.c_str(), threads, sim_s, p1_s, p2_s, sd_s, total,
                   base_total > 0 ? base_total / total : 0.0,
                   identical ? "yes" : "NO");
       std::fflush(stdout);
@@ -153,16 +176,22 @@ int main(int argc, char** argv) {
                          sim_s});
       records.push_back({"bench_parallel_scaling", name, threads, "proc1_s",
                          p1_s});
+      records.push_back({"bench_parallel_scaling", name, threads, "proc2_s",
+                         p2_s});
+      records.push_back({"bench_parallel_scaling", name, threads, "sd_s",
+                         sd_s});
       records.push_back({"bench_parallel_scaling", name, threads, "total_s",
                          total});
       records.push_back({"bench_parallel_scaling", name, threads, "speedup",
                          base_total > 0 ? base_total / total : 0.0});
     }
-    std::printf("  [%s: %zu faults, %zu tests, %llu indistinguished pairs, "
-                "%zu proc1 calls]\n\n",
+    std::printf("  [%s: %zu faults, %zu tests, %llu indistinguished pairs "
+                "after proc1, %llu after proc2, %zu proc1 calls, %zu proc2 "
+                "replacements]\n\n",
                 name.c_str(), faults.size(), tests.size(),
                 (unsigned long long)reference_sel.indistinguished_pairs,
-                reference_sel.calls_used);
+                (unsigned long long)reference_p2.indistinguished_pairs,
+                reference_sel.calls_used, reference_p2.replacements);
   }
 
   if (!json_path.empty()) {

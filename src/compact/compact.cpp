@@ -71,8 +71,8 @@ SymbolMatrix store_symbols(const SignatureStore& store) {
 
 SymbolMatrix response_symbols(const ResponseMatrix& rm) {
   SymbolMatrix m(rm.num_faults(), rm.num_tests());
-  for (std::size_t f = 0; f < rm.num_faults(); ++f)
-    for (std::size_t t = 0; t < rm.num_tests(); ++t)
+  for (std::size_t t = 0; t < rm.num_tests(); ++t)
+    for (std::size_t f = 0; f < rm.num_faults(); ++f)
       m.set(f, t, rm.response(static_cast<FaultId>(f), t));
   return m;
 }

@@ -13,23 +13,10 @@ namespace sddict {
 std::vector<std::uint64_t> candidate_dist(const ResponseMatrix& rm,
                                           std::size_t test,
                                           const Partition& partition) {
-  const std::size_t num_candidates = rm.num_distinct(test);
-  std::vector<std::uint64_t> dist(num_candidates, 0);
-  std::vector<std::uint32_t> cnt(num_candidates, 0);
-  std::vector<ResponseId> touched;
-  for (const auto& members : partition.classes()) {
-    if (members.size() < 2) continue;
-    touched.clear();
-    for (std::uint32_t f : members) {
-      const ResponseId r = rm.response(f, test);
-      if (cnt[r]++ == 0) touched.push_back(r);
-    }
-    for (ResponseId r : touched) {
-      dist[r] += static_cast<std::uint64_t>(cnt[r]) * (members.size() - cnt[r]);
-      cnt[r] = 0;
-    }
-  }
-  return dist;
+  CandidateScorer scorer(rm.column(test), rm.num_distinct(test));
+  for (std::uint32_t c : partition.open_classes())
+    scorer.add_group(partition.members(c));
+  return scorer.dist();
 }
 
 ResponseId scan_with_lower(const std::vector<std::uint64_t>& dist,
@@ -67,11 +54,12 @@ BaselineSelection procedure1_single(const ResponseMatrix& rm,
 
   for (std::size_t j : order) {
     if (part.fully_refined()) break;
-    const auto dist = candidate_dist(rm, j, part);
-    const ResponseId chosen = scan_with_lower(dist, lower);
+    const ResponseId chosen =
+        scan_with_lower(candidate_dist(rm, j, part), lower);
     sel.baselines[j] = chosen;
+    const auto col = rm.column(j);
     part.refine_with([&](std::uint32_t f) {
-      return static_cast<std::uint32_t>(rm.response(f, j) == chosen);
+      return static_cast<std::uint32_t>(col[f] == chosen);
     });
   }
   sel.indistinguished_pairs = part.indistinguished_pairs();
@@ -119,9 +107,10 @@ BaselineSelection run_procedure1(const ResponseMatrix& rm,
     for (std::size_t j = 0; j < rm.num_tests(); ++j) {
       const ResponseId ff = rm.fault_free_id(j);
       passfail.baselines[j] = ff;
+      const auto col = rm.column(j);
       if (!part.fully_refined())
         part.refine_with([&](std::uint32_t f) {
-          return static_cast<std::uint32_t>(rm.response(f, j) == ff);
+          return static_cast<std::uint32_t>(col[f] == ff);
         });
     }
     passfail.indistinguished_pairs = part.indistinguished_pairs();

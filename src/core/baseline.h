@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dict/partition.h"
@@ -63,6 +64,46 @@ struct BaselineSelection {
   // selection is still valid — it is the best of the passes consumed.
   bool completed = true;
   StopReason stop_reason = StopReason::kCompleted;
+};
+
+// Scores every candidate baseline z of one test over groups of faults:
+//
+//   dist(z) = sum over groups g of  c_zg * (|g| - c_zg),
+//
+// where c_zg counts the members of g whose response under the test is z,
+// so dist(z) is the number of same-group pairs the bit [response != z]
+// separates. With the classes of the not-yet-distinguished relation as the
+// groups this is the paper's dist(z) (Procedure 1); with the groups of
+// faults that agree on every other dictionary column it is the pair gain
+// Procedure 2 maximizes. Groups of fewer than two members score nothing
+// and may be left out.
+class CandidateScorer {
+ public:
+  // `column` holds the test's response id of every fault.
+  CandidateScorer(std::span<const ResponseId> column,
+                  std::size_t num_candidates)
+      : column_(column), dist_(num_candidates, 0), count_(num_candidates, 0) {}
+
+  void add_group(std::span<const std::uint32_t> members) {
+    touched_.clear();
+    for (std::uint32_t f : members) {
+      const ResponseId r = column_[f];
+      if (count_[r]++ == 0) touched_.push_back(r);
+    }
+    for (ResponseId r : touched_) {
+      dist_[r] += static_cast<std::uint64_t>(count_[r]) *
+                  (members.size() - count_[r]);
+      count_[r] = 0;
+    }
+  }
+
+  const std::vector<std::uint64_t>& dist() const { return dist_; }
+
+ private:
+  std::span<const ResponseId> column_;
+  std::vector<std::uint64_t> dist_;
+  std::vector<std::uint32_t> count_;  // zero between add_group calls
+  std::vector<ResponseId> touched_;
 };
 
 // dist(z) for every candidate response of one test, given the current

@@ -48,8 +48,8 @@ ExperimentRow run_experiment(const Netlist& nl, TestSetKind kind,
       nl, faults, tests, {.num_threads = config.baseline.num_threads});
   row.seconds_faultsim = timer.seconds();
 
-  for (FaultId f = 0; f < faults.size(); ++f)
-    if (rm.detection_count(f) == 0) ++row.num_undetected;
+  for (std::uint32_t count : rm.detection_counts())
+    if (count == 0) ++row.num_undetected;
 
   row.indist_full = FullDictionary::build(rm).indistinguished_pairs();
   row.indist_passfail = PassFailDictionary::build(rm).indistinguished_pairs();

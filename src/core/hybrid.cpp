@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/procedure2.h"
 #include "core/sigset.h"
 #include "dict/dictionary.h"
 
@@ -14,15 +15,9 @@ HybridResult hybridize_baselines(const ResponseMatrix& rm,
   if (baselines.size() != k)
     throw std::invalid_argument("hybridize_baselines: baseline count mismatch");
 
-  std::vector<Hash128> sig(n);
+  std::vector<Hash128> sig = row_signatures(rm, baselines);
   SignatureMultiset ms;
-  for (FaultId f = 0; f < n; ++f) {
-    Hash128 s;
-    for (std::size_t j = 0; j < k; ++j)
-      if (rm.response(f, j) != baselines[j]) s ^= test_token(j);
-    sig[f] = s;
-    ms.insert(s);
-  }
+  for (const Hash128& s : sig) ms.insert(s);
 
   std::vector<FaultId> changed;
   for (std::size_t j = 0; j < k; ++j) {
@@ -30,10 +25,9 @@ HybridResult hybridize_baselines(const ResponseMatrix& rm,
     // Reverting to fault-free flips the rows of faults whose response is
     // the current baseline or the fault-free response.
     changed.clear();
-    for (FaultId f = 0; f < n; ++f) {
-      const ResponseId r = rm.response(f, j);
-      if (r == baselines[j] || r == 0) changed.push_back(f);
-    }
+    const auto col = rm.column(j);
+    for (FaultId f = 0; f < n; ++f)
+      if (col[f] == baselines[j] || col[f] == 0) changed.push_back(f);
     const std::uint64_t before = ms.duplicate_pairs();
     const Hash128 tok = test_token(j);
     for (FaultId f : changed) {

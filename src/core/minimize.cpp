@@ -16,13 +16,10 @@ template <typename TokenOf>
 MinimizeResult minimize_impl(std::size_t num_faults, std::size_t num_tests,
                              TokenOf&& token_of) {
   std::vector<Hash128> sig(num_faults);
+  for (std::size_t j = 0; j < num_tests; ++j)
+    for (FaultId f = 0; f < num_faults; ++f) sig[f] ^= token_of(f, j);
   SignatureMultiset ms;
-  for (FaultId f = 0; f < num_faults; ++f) {
-    Hash128 s;
-    for (std::size_t j = 0; j < num_tests; ++j) s ^= token_of(f, j);
-    sig[f] = s;
-    ms.insert(s);
-  }
+  for (const Hash128& s : sig) ms.insert(s);
   const std::uint64_t target = ms.duplicate_pairs();
 
   std::vector<bool> kept(num_tests, true);

@@ -22,13 +22,14 @@ std::vector<std::uint64_t> additional_dist(
   std::vector<bool> is_chosen(num_candidates, false);
   for (ResponseId z : chosen) is_chosen[z] = true;
 
+  const auto col = rm.column(test);
   std::vector<ResponseId> touched;
-  for (const auto& members : partition.classes()) {
-    if (members.size() < 2) continue;
+  for (std::uint32_t c : partition.open_classes()) {
+    const auto members = partition.members(c);
     touched.clear();
     std::uint32_t unmatched = 0;
     for (std::uint32_t f : members) {
-      const ResponseId r = rm.response(f, test);
+      const ResponseId r = col[f];
       if (is_chosen[r]) continue;  // already split off by an earlier bit
       ++unmatched;
       if (cnt[r]++ == 0) touched.push_back(r);
@@ -94,8 +95,9 @@ MultiBaselineSelection multi_baseline_single(
     }
     // Tests with fewer distinct responses than `rank` keep a shorter set;
     // the dictionary treats the missing slots as constant-1 bits.
+    const auto col = rm.column(j);
     part.refine_with([&](std::uint32_t f) {
-      const ResponseId resp = rm.response(f, j);
+      const ResponseId resp = col[f];
       for (std::size_t l = 0; l < chosen.size(); ++l)
         if (resp == chosen[l]) return static_cast<std::uint32_t>(l);
       return static_cast<std::uint32_t>(rank);

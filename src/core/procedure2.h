@@ -4,13 +4,13 @@
 // increases the number of distinguished fault pairs. Sweeps repeat until a
 // whole sweep makes no replacement.
 //
-// Scoring uses incremental 128-bit row signatures: each fault's dictionary
-// row is summarized as the XOR of per-test tokens over its '1' bits, and
-// the number of *in*distinguished pairs equals the number of duplicate-
-// signature pairs, maintained by a running multiset. Swapping the baseline
-// of test j only flips the rows of faults whose response equals the old or
-// the new baseline, so each candidate is evaluated in time proportional to
-// those two groups instead of n*k.
+// Scoring uses 128-bit row signatures: each fault's dictionary row is
+// summarized as the XOR of per-test tokens over its '1' bits, so the number
+// of *in*distinguished pairs is the number of duplicate-signature pairs.
+// For test j, faults are grouped by their *rest* signature (the row with
+// column j removed); every candidate baseline z of j is then scored at once
+// by CandidateScorer over those groups (core/baseline.h), which makes one
+// test cost O(n) whatever the number of candidates.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +43,22 @@ struct Procedure2Config {
   RunBudget budget{};
 };
 
+// Throws std::invalid_argument unless there is one initial baseline per
+// test and each is a response id of its test.
 Procedure2Result run_procedure2(const ResponseMatrix& rm,
                                 std::vector<ResponseId> initial_baselines,
                                 const Procedure2Config& config = {});
 
 // Exact (non-incremental) count of indistinguished pairs under a baseline
-// assignment; used by Procedure 2 internally and handy for verification.
+// assignment; handy for verification. Validates `baselines` as
+// run_procedure2 does.
 std::uint64_t count_indistinguished(const ResponseMatrix& rm,
+                                    const std::vector<ResponseId>& baselines);
+
+// Every fault's same/different row signature under `baselines`: the XOR of
+// test_token(j) (core/sigset.h) over the tests whose response differs from
+// baselines[j]. Computed column by column; `baselines` is not validated.
+std::vector<Hash128> row_signatures(const ResponseMatrix& rm,
                                     const std::vector<ResponseId>& baselines);
 
 }  // namespace sddict

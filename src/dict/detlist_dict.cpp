@@ -8,9 +8,11 @@ DetectionListDictionary DetectionListDictionary::build(const ResponseMatrix& rm)
   DetectionListDictionary d;
   d.num_faults_ = rm.num_faults();
   d.lists_.assign(rm.num_tests(), {});
-  for (std::size_t t = 0; t < rm.num_tests(); ++t)
+  for (std::size_t t = 0; t < rm.num_tests(); ++t) {
+    const auto col = rm.column(t);
     for (FaultId f = 0; f < rm.num_faults(); ++f)
-      if (rm.detected(f, t)) d.lists_[t].push_back(f);
+      if (col[f] != 0) d.lists_[t].push_back(f);
+  }
 
   d.partition_ = Partition(rm.num_faults());
   for (std::size_t t = 0; t < rm.num_tests(); ++t) {

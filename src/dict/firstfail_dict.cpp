@@ -16,8 +16,8 @@ FirstFailDictionary FirstFailDictionary::build(const ResponseMatrix& rm) {
   d.num_tests_ = rm.num_tests();
   d.num_outputs_ = rm.num_outputs();
   d.entries_.assign(d.num_faults_ * d.num_tests_, 0);
-  for (FaultId f = 0; f < rm.num_faults(); ++f)
-    for (std::size_t t = 0; t < rm.num_tests(); ++t) {
+  for (std::size_t t = 0; t < rm.num_tests(); ++t)
+    for (FaultId f = 0; f < rm.num_faults(); ++f) {
       const ResponseId r = rm.response(f, t);
       if (r == 0) continue;
       const auto& outs = rm.diff_outputs(t, r);

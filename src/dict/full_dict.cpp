@@ -6,13 +6,18 @@
 namespace sddict {
 
 FullDictionary FullDictionary::build(const ResponseMatrix& rm) {
-  std::vector<ResponseId> entries(rm.num_faults() * rm.num_tests());
-  for (FaultId f = 0; f < rm.num_faults(); ++f)
-    for (std::size_t t = 0; t < rm.num_tests(); ++t)
-      entries[static_cast<std::size_t>(f) * rm.num_tests() + t] =
-          rm.response(f, t);
-  return from_entries(std::move(entries), rm.num_faults(), rm.num_tests(),
-                      rm.num_outputs());
+  // Transpose the test-major matrix into fault-major entries, 16 tests (one
+  // cache line of entries) at a time so both sides stream.
+  const std::size_t n = rm.num_faults();
+  const std::size_t k = rm.num_tests();
+  std::vector<ResponseId> entries(n * k);
+  for (std::size_t first = 0; first < k; first += 16) {
+    const std::size_t last = std::min(k, first + 16);
+    for (std::size_t f = 0; f < n; ++f)
+      for (std::size_t t = first; t < last; ++t)
+        entries[f * k + t] = rm.response(static_cast<FaultId>(f), t);
+  }
+  return from_entries(std::move(entries), n, k, rm.num_outputs());
 }
 
 FullDictionary FullDictionary::from_entries(std::vector<ResponseId> entries,

@@ -36,8 +36,8 @@ MultiBaselineDictionary MultiBaselineDictionary::build(
   d.stored_baselines_ = stored;
   d.baselines_ = std::move(baselines);
   d.rows_.assign(rm.num_faults(), BitVec(rm.num_tests() * rank));
-  for (FaultId f = 0; f < rm.num_faults(); ++f)
-    for (std::size_t t = 0; t < rm.num_tests(); ++t) {
+  for (std::size_t t = 0; t < rm.num_tests(); ++t)
+    for (FaultId f = 0; f < rm.num_faults(); ++f) {
       const ResponseId r = rm.response(f, t);
       const auto& bs = d.baselines_[t];
       for (std::size_t l = 0; l < rank; ++l)

@@ -6,11 +6,9 @@
 namespace sddict {
 
 PassFailDictionary PassFailDictionary::build(const ResponseMatrix& rm) {
-  std::vector<BitVec> rows(rm.num_faults(), BitVec(rm.num_tests()));
-  for (FaultId f = 0; f < rm.num_faults(); ++f)
-    for (std::size_t t = 0; t < rm.num_tests(); ++t)
-      if (rm.detected(f, t)) rows[f].set(t, true);
-  return from_rows(std::move(rows), rm.num_tests(), rm.num_outputs());
+  return from_rows(
+      rm.difference_rows(std::vector<ResponseId>(rm.num_tests(), 0)),
+      rm.num_tests(), rm.num_outputs());
 }
 
 PassFailDictionary PassFailDictionary::from_rows(std::vector<BitVec> rows,

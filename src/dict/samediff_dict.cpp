@@ -15,10 +15,7 @@ SameDifferentDictionary SameDifferentDictionary::build(
           "SameDifferentDictionary: baseline id out of range for test " +
           std::to_string(t));
 
-  std::vector<BitVec> rows(rm.num_faults(), BitVec(rm.num_tests()));
-  for (FaultId f = 0; f < rm.num_faults(); ++f)
-    for (std::size_t t = 0; t < rm.num_tests(); ++t)
-      if (rm.response(f, t) != baselines[t]) rows[f].set(t, true);
+  std::vector<BitVec> rows = rm.difference_rows(baselines);
   return from_parts(std::move(rows), std::move(baselines), rm.num_outputs());
 }
 

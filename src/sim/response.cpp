@@ -30,15 +30,34 @@ std::vector<Observed> qualify(const std::vector<ResponseId>& observed) {
 
 std::vector<std::uint32_t> ResponseMatrix::response_counts(std::size_t test) const {
   std::vector<std::uint32_t> counts(num_distinct(test), 0);
-  for (FaultId f = 0; f < num_faults_; ++f) ++counts[response(f, test)];
+  for (ResponseId r : column(test)) ++counts[r];
   return counts;
 }
 
-std::uint32_t ResponseMatrix::detection_count(FaultId fault) const {
-  std::uint32_t n = 0;
-  for (std::size_t j = 0; j < num_tests_; ++j)
-    if (detected(fault, j)) ++n;
-  return n;
+std::vector<std::uint32_t> ResponseMatrix::detection_counts() const {
+  std::vector<std::uint32_t> counts(num_faults_, 0);
+  for (std::size_t j = 0; j < num_tests_; ++j) {
+    const auto col = column(j);
+    for (std::size_t f = 0; f < num_faults_; ++f) counts[f] += col[f] != 0;
+  }
+  return counts;
+}
+
+std::vector<BitVec> ResponseMatrix::difference_rows(
+    const std::vector<ResponseId>& reference) const {
+  std::vector<BitVec> rows(num_faults_, BitVec(num_tests_));
+  for (std::size_t first = 0; first < num_tests_; first += 64) {
+    const std::size_t count = std::min<std::size_t>(64, num_tests_ - first);
+    for (std::size_t f = 0; f < num_faults_; ++f) {
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < count; ++b)
+        word |= static_cast<std::uint64_t>(
+                    response(f, first + b) != reference[first + b])
+                << b;
+      rows[f].mutable_words()[first / 64] = word;
+    }
+  }
+  return rows;
 }
 
 ResponseId ResponseMatrix::find_response(std::size_t test,
@@ -73,15 +92,16 @@ struct ChunkStage {
 };
 
 // Simulates faults [stage->fault_begin, stage->fault_end) against all tests,
-// writing chunk-local ids into the global fault-major resp array (rows are
-// disjoint across chunks, so no synchronization is needed). Stops at the
-// next pattern-batch boundary once the budget scope expires, leaving the
-// remaining entries at id 0.
+// writing chunk-local ids into the global test-major resp array (chunks own
+// disjoint fault ranges of every column, so no synchronization is needed).
+// Stops at the next pattern-batch boundary once the budget scope expires,
+// leaving the remaining entries at id 0.
 void simulate_chunk(const Netlist& nl, const FaultList& faults,
                     const TestSet& tests, const ResponseMatrixOptions& options,
                     BudgetScope* scope, std::vector<ResponseId>* resp,
                     ChunkStage* stage) {
   SDDICT_FAILPOINT("simulate_chunk");
+  const std::size_t n = faults.size();
   const std::size_t k = tests.size();
   stage->sigs.assign(k, {});
   if (options.store_diff_outputs) stage->diffs.assign(k, {});
@@ -137,7 +157,7 @@ void simulate_chunk(const Netlist& nl, const FaultList& faults,
             stage->diffs[test].push_back(std::move(outs));
           }
         }
-        (*resp)[static_cast<std::size_t>(i) * k + test] = it->second;
+        (*resp)[test * n + i] = it->second;
         sig[t] = Hash128{};  // reset for the next fault
       }
     }
@@ -229,11 +249,12 @@ ResponseMatrix build_response_matrix(const Netlist& nl, const FaultList& faults,
   // particular the single-chunk case) skip the pass.
   auto remap_chunk = [&](std::size_t c) {
     if (identity[c]) return;
-    for (std::size_t f = stages[c].fault_begin; f < stages[c].fault_end; ++f)
-      for (std::size_t j = 0; j < k; ++j) {
-        ResponseId& r = rm.resp_[f * k + j];
-        if (r != 0) r = remap[c][j][r];
-      }
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::vector<ResponseId>& map = remap[c][j];
+      ResponseId* col = rm.resp_.data() + j * n;
+      for (std::size_t f = stages[c].fault_begin; f < stages[c].fault_end; ++f)
+        if (col[f] != 0) col[f] = map[col[f]];
+    }
   };
   if (pool != nullptr) {
     pool->parallel_for(0, num_chunks, remap_chunk);
@@ -302,7 +323,7 @@ ResponseMatrix response_matrix_from_table(
         rm.signatures_[j].push_back(sig);
         rm.diffs_[j].push_back(std::move(outs));
       }
-      rm.resp_[i * k + j] = it->second;
+      rm.resp_[j * n + i] = it->second;
     }
   }
 #ifndef NDEBUG
@@ -338,7 +359,10 @@ ResponseMatrix response_matrix_from_ids(
   rm.num_tests_ = num_tests;
   rm.num_outputs_ = num_outputs;
   rm.has_diffs_ = false;
-  rm.resp_ = std::move(resp);
+  rm.resp_.resize(resp.size());
+  for (std::size_t i = 0; i < num_faults; ++i)
+    for (std::size_t j = 0; j < num_tests; ++j)
+      rm.resp_[j * num_faults + i] = resp[i * num_tests + j];
   rm.signatures_ = std::move(signatures);
   return rm;
 }

@@ -14,11 +14,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/faultlist.h"
 #include "netlist/netlist.h"
 #include "sim/testset.h"
+#include "util/bitvec.h"
 #include "util/budget.h"
 #include "util/hash.h"
 
@@ -87,7 +89,14 @@ class ResponseMatrix {
   std::size_t num_outputs() const { return num_outputs_; }
 
   ResponseId response(FaultId fault, std::size_t test) const {
-    return resp_[static_cast<std::size_t>(fault) * num_tests_ + test];
+    return resp_[test * num_faults_ + fault];
+  }
+
+  // Every fault's response id under `test`, indexed by fault id. The
+  // matrix is stored test-major, so this is a view, not a copy; loops over
+  // the whole matrix should walk it column by column.
+  std::span<const ResponseId> column(std::size_t test) const {
+    return {resp_.data() + test * num_faults_, num_faults_};
   }
 
   bool detected(FaultId fault, std::size_t test) const {
@@ -123,8 +132,15 @@ class ResponseMatrix {
   // faults the test does not detect.
   std::vector<std::uint32_t> response_counts(std::size_t test) const;
 
-  // Tests that detect the fault.
-  std::uint32_t detection_count(FaultId fault) const;
+  // Number of tests that detect each fault, indexed by fault id.
+  std::vector<std::uint32_t> detection_counts() const;
+
+  // One row per fault whose bit t is set iff the fault's response under
+  // test t differs from reference[t]: the same/different dictionary's rows
+  // for baselines `reference`, and the pass/fail rows when every reference
+  // is the fault-free id 0. Built 64 tests (one row word) at a time.
+  std::vector<BitVec> difference_rows(
+      const std::vector<ResponseId>& reference) const;
 
   // Sorted outputs differing from fault-free for (test, id); requires
   // store_diff_outputs. id 0 yields an empty list.
@@ -148,7 +164,7 @@ class ResponseMatrix {
   std::size_t num_tests_ = 0;
   std::size_t num_outputs_ = 0;
   bool has_diffs_ = false;
-  std::vector<ResponseId> resp_;                   // fault-major [n][k]
+  std::vector<ResponseId> resp_;                   // test-major [k][n]
   std::vector<std::vector<Hash128>> signatures_;   // [test][id]
   std::vector<std::vector<std::vector<std::uint32_t>>> diffs_;  // [test][id]
 };
@@ -167,7 +183,8 @@ ResponseMatrix response_matrix_from_table(
     const std::vector<std::vector<BitVec>>& faulty);
 
 // Builds a matrix from an explicit id table plus per-test signature lists:
-// resp is fault-major [num_faults][num_tests], signatures[j][id] the
+// resp is fault-major [num_faults][num_tests] (transposed into the matrix's
+// test-major layout here), signatures[j][id] the
 // difference signature of response id under test j. Unlike the other
 // builders this does NOT require the fault-free response to be id 0 — every
 // test must still have exactly one empty signature (validated), which

@@ -145,10 +145,9 @@ DiagSetResult generate_diagnostic(const Netlist& nl, const FaultList& faults,
     if (res.pair_atpg_calls >= options.max_pair_atpg_calls) break;
     const std::size_t before = res.tests.size();
 
-    // Snapshot classes (refinement below happens after the round).
-    const auto classes = part.classes();
-    for (const auto& members : classes) {
-      if (members.size() < 2) continue;
+    // Refinement happens after the round, so the classes stay put.
+    for (std::uint32_t c : part.open_classes()) {
+      const auto members = part.members(c);
       if (res.pair_atpg_calls >= options.max_pair_atpg_calls) break;
       if (out_of_budget()) break;
       const FaultId a = members[0];

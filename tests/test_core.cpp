@@ -373,6 +373,162 @@ TEST(Procedure2, BaselineCountMismatchRejected) {
   EXPECT_THROW(run_procedure2(rm, {0}), std::invalid_argument);
 }
 
+// The message of the std::invalid_argument fn throws ("" if none).
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Procedure2, ShortBaselineVectorRejected) {
+  const ResponseMatrix rm = c17_matrix(6, 3);
+  const std::vector<ResponseId> short_bl(rm.num_tests() - 1, 0);
+  EXPECT_NE(invalid_argument_message(
+                [&] { count_indistinguished(rm, short_bl); })
+                .find("count_indistinguished"),
+            std::string::npos);
+  EXPECT_NE(
+      invalid_argument_message([&] { run_procedure2(rm, short_bl); })
+          .find("run_procedure2"),
+      std::string::npos);
+}
+
+TEST(Procedure2, OutOfRangeBaselineIdRejected) {
+  const ResponseMatrix rm = c17_matrix(6, 3);
+  std::vector<ResponseId> bl(rm.num_tests(), 0);
+  bl[4] = static_cast<ResponseId>(rm.num_distinct(4));  // one past the end
+  const std::string id = "baseline id " + std::to_string(bl[4]);
+  for (const std::string& msg :
+       {invalid_argument_message([&] { count_indistinguished(rm, bl); }),
+        invalid_argument_message([&] { run_procedure2(rm, bl); })}) {
+    EXPECT_NE(msg.find("test 4"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(id), std::string::npos) << msg;
+  }
+}
+
+// The paper's Procedure 2 as written: for every test, try each candidate
+// in ascending order, score it with an exact recount, and keep it when it
+// strictly improves; same stop rules as run_procedure2.
+Procedure2Result literal_procedure2(const ResponseMatrix& rm,
+                                    std::vector<ResponseId> baselines,
+                                    const Procedure2Config& config) {
+  Procedure2Result res;
+  res.baselines = std::move(baselines);
+  std::uint64_t dup = count_indistinguished(rm, res.baselines);
+  bool improved = true;
+  while (improved && res.sweeps < config.max_sweeps &&
+         dup > config.target_indistinguished) {
+    improved = false;
+    ++res.sweeps;
+    for (std::size_t j = 0;
+         j < rm.num_tests() && dup > config.target_indistinguished; ++j) {
+      const ResponseId old_bl = res.baselines[j];
+      for (ResponseId z = 0; z < rm.num_distinct(j); ++z) {
+        std::vector<ResponseId> trial = res.baselines;
+        trial[j] = z;
+        const std::uint64_t count = count_indistinguished(rm, trial);
+        if (count < dup) {
+          dup = count;
+          res.baselines[j] = z;
+        }
+      }
+      if (res.baselines[j] != old_bl) {
+        ++res.replacements;
+        improved = true;
+      }
+    }
+  }
+  res.indistinguished_pairs = dup;
+  return res;
+}
+
+void expect_matches_literal(const ResponseMatrix& rm,
+                            const std::vector<ResponseId>& initial,
+                            const Procedure2Config& config,
+                            const std::string& what) {
+  const Procedure2Result fast = run_procedure2(rm, initial, config);
+  const Procedure2Result slow = literal_procedure2(rm, initial, config);
+  EXPECT_EQ(fast.baselines, slow.baselines) << what;
+  EXPECT_EQ(fast.replacements, slow.replacements) << what;
+  EXPECT_EQ(fast.sweeps, slow.sweeps) << what;
+  EXPECT_EQ(fast.indistinguished_pairs, slow.indistinguished_pairs) << what;
+}
+
+// Initial assignments worth starting from: fault-free, random, and
+// Procedure 1's selection.
+std::vector<std::vector<ResponseId>> initial_assignments(
+    const ResponseMatrix& rm, Rng& rng) {
+  std::vector<ResponseId> ff(rm.num_tests());
+  std::vector<ResponseId> random(rm.num_tests());
+  for (std::size_t j = 0; j < rm.num_tests(); ++j) {
+    ff[j] = rm.fault_free_id(j);
+    random[j] = static_cast<ResponseId>(rng.below(rm.num_distinct(j)));
+  }
+  BaselineSelectionConfig cfg;
+  cfg.calls1 = 2;
+  cfg.num_threads = 1;
+  return {ff, random, run_procedure1(rm, cfg).baselines};
+}
+
+// Stop-rule variants: unbounded, one sweep, and a target that is reached
+// part-way through.
+std::vector<Procedure2Config> stop_rules(const ResponseMatrix& rm,
+                                         const std::vector<ResponseId>& bl) {
+  Procedure2Config one_sweep;
+  one_sweep.max_sweeps = 1;
+  Procedure2Config target;
+  target.target_indistinguished = count_indistinguished(rm, bl) / 2;
+  return {Procedure2Config{}, one_sweep, target};
+}
+
+TEST(Procedure2, MatchesLiteralScanOnRandomIdTables) {
+  // Dense random id tables tie candidate scores often; the fault-free
+  // signature sits at a random id, so no test relies on id 0 meaning pass.
+  Rng rng(1234);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + rng.below(14);
+    const std::size_t k = 1 + rng.below(6);
+    std::vector<std::vector<Hash128>> sigs(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t distinct = 1 + rng.below(5);
+      for (std::size_t id = 0; id < distinct; ++id)
+        sigs[j].push_back(slot_token(id, 1));
+      sigs[j][rng.below(distinct)] = Hash128{};
+    }
+    std::vector<ResponseId> resp(n * k);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        resp[i * k + j] = static_cast<ResponseId>(rng.below(sigs[j].size()));
+    const ResponseMatrix rm = response_matrix_from_ids(resp, sigs, n, k, 3);
+    for (const auto& initial : initial_assignments(rm, rng))
+      for (const Procedure2Config& config : stop_rules(rm, initial))
+        expect_matches_literal(rm, initial, config,
+                               "trial=" + std::to_string(trial));
+  }
+}
+
+TEST(Procedure2, MatchesLiteralScanOnC17AndS27) {
+  Rng rng(99);
+  std::vector<ResponseMatrix> matrices = {c17_matrix(10, 41),
+                                          c17_matrix(24, 42)};
+  const Netlist s27 = full_scan(make_s27());
+  const FaultList faults = collapsed_fault_list(s27).collapsed;
+  for (std::size_t num_tests : {8u, 20u}) {
+    TestSet tests(s27.num_inputs());
+    tests.add_random(num_tests, rng);
+    matrices.push_back(build_response_matrix(s27, faults, tests));
+  }
+  for (std::size_t m = 0; m < matrices.size(); ++m)
+    for (const auto& initial : initial_assignments(matrices[m], rng))
+      for (const Procedure2Config& config : stop_rules(matrices[m], initial))
+        expect_matches_literal(matrices[m], initial, config,
+                               "matrix=" + std::to_string(m));
+}
+
 // -------------------------------------------------------------- hybrid  --
 
 TEST(Hybrid, PreservesResolution) {

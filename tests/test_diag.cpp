@@ -104,8 +104,8 @@ TEST(Diagnose, TiedCandidatesEqualsDictionaryClassSize) {
   const auto observed =
       observe_defect(fx.nl, fx.tests, fx.rm, {to_injection(fx.faults[truth])});
   const auto cmp = compare_dictionaries(full, pf, sd, observed, truth);
-  const auto& cls =
-      full.partition().classes()[full.partition().class_of(truth)];
+  const auto cls =
+      full.partition().members(full.partition().class_of(truth));
   EXPECT_EQ(cmp.full.tied_candidates, cls.size());
 }
 

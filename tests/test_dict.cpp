@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <set>
 #include <sstream>
 
 #include "bmcirc/embedded.h"
@@ -66,7 +69,7 @@ TEST(Partition, ClassOfConsistentWithClasses) {
   Partition p(6);
   p.refine({0, 1, 0, 1, 2, 2});
   for (std::size_t c = 0; c < p.num_classes(); ++c)
-    for (std::uint32_t e : p.classes()[c]) EXPECT_EQ(p.class_of(e), c);
+    for (std::uint32_t e : p.members(c)) EXPECT_EQ(p.class_of(e), c);
 }
 
 TEST(Partition, PairsHelper) {
@@ -81,6 +84,189 @@ TEST(Partition, EmptyPartition) {
   EXPECT_EQ(p.num_classes(), 0u);
   EXPECT_TRUE(p.fully_refined());
   EXPECT_EQ(p.indistinguished_pairs(), 0u);
+}
+
+std::vector<std::uint32_t> members_of(const Partition& p, std::size_t c) {
+  const auto m = p.members(c);
+  return {m.begin(), m.end()};
+}
+
+TEST(Partition, SplitGroupsFollowFirstAppearance) {
+  Partition p(6);
+  // Groups by label: 5 -> {0, 2}, 3 -> {1, 4}, 9 -> {3, 5}. The first
+  // member's group keeps class 0; the rest follow in first-appearance order.
+  EXPECT_EQ(p.refine({5, 3, 5, 9, 3, 9}), 12u);
+  ASSERT_EQ(p.num_classes(), 3u);
+  EXPECT_EQ(members_of(p, 0), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(members_of(p, 1), (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(members_of(p, 2), (std::vector<std::uint32_t>{3, 5}));
+  // Only class 1 splits: its first member keeps id 1, the other member
+  // becomes the appended class 3.
+  EXPECT_EQ(p.refine({0, 8, 0, 0, 2, 0}), 1u);
+  ASSERT_EQ(p.num_classes(), 4u);
+  EXPECT_EQ(members_of(p, 1), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(members_of(p, 3), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(p.class_of(4), 3u);
+}
+
+TEST(Partition, MembersKeepRelativeOrder) {
+  Partition p(8);
+  p.refine({1, 0, 1, 0, 1, 0, 1, 0});
+  EXPECT_EQ(members_of(p, 0), (std::vector<std::uint32_t>{0, 2, 4, 6}));
+  EXPECT_EQ(members_of(p, 1), (std::vector<std::uint32_t>{1, 3, 5, 7}));
+  p.refine({0, 0, 1, 1, 0, 0, 1, 1});
+  EXPECT_EQ(members_of(p, 0), (std::vector<std::uint32_t>{0, 4}));
+  EXPECT_EQ(members_of(p, 1), (std::vector<std::uint32_t>{1, 5}));
+  EXPECT_EQ(members_of(p, 2), (std::vector<std::uint32_t>{2, 6}));
+  EXPECT_EQ(members_of(p, 3), (std::vector<std::uint32_t>{3, 7}));
+}
+
+// The documented semantics with one vector per class: every class, in id
+// order, is grouped by label in first-appearance order; the first group
+// keeps the id and the others are appended.
+struct ReferencePartition {
+  std::vector<std::vector<std::uint32_t>> classes;
+
+  explicit ReferencePartition(std::size_t n) {
+    if (n > 0) {
+      classes.emplace_back(n);
+      std::iota(classes[0].begin(), classes[0].end(), std::uint32_t{0});
+    }
+  }
+
+  std::uint64_t refine(const std::vector<std::uint32_t>& labels) {
+    std::uint64_t separated = 0;
+    const std::size_t orig = classes.size();
+    for (std::size_t c = 0; c < orig; ++c) {
+      std::vector<std::uint32_t> keys;
+      std::vector<std::vector<std::uint32_t>> groups;
+      for (std::uint32_t e : classes[c]) {
+        const auto it = std::find(keys.begin(), keys.end(), labels[e]);
+        if (it == keys.end()) {
+          keys.push_back(labels[e]);
+          groups.push_back({e});
+        } else {
+          groups[static_cast<std::size_t>(it - keys.begin())].push_back(e);
+        }
+      }
+      if (groups.size() < 2) continue;
+      separated += Partition::pairs(classes[c].size());
+      for (const auto& g : groups) separated -= Partition::pairs(g.size());
+      classes[c] = groups[0];
+      for (std::size_t g = 1; g < groups.size(); ++g)
+        classes.push_back(groups[g]);
+    }
+    return separated;
+  }
+};
+
+TEST(Partition, MatchesLabelHistoryOracleOverManyRounds) {
+  // Non-binary labels, several rounds: the partition must equal grouping by
+  // the whole label history (brute force), and its ids and member order
+  // must match the one-vector-per-class reference.
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + rng.below(60);
+    const std::uint32_t alphabet = 1 + static_cast<std::uint32_t>(rng.below(5));
+    Partition p(n);
+    ReferencePartition ref(n);
+    std::vector<std::vector<std::uint32_t>> history(n);
+    for (int round = 0; round < 6; ++round) {
+      std::vector<std::uint32_t> labels(n);
+      for (auto& l : labels)
+        l = 1000u * static_cast<std::uint32_t>(rng.below(alphabet)) + 7u;
+      for (std::size_t e = 0; e < n; ++e) history[e].push_back(labels[e]);
+
+      const std::uint64_t before = p.indistinguished_pairs();
+      const std::uint64_t separated = p.refine(labels);
+      EXPECT_EQ(separated, ref.refine(labels));
+      EXPECT_EQ(p.indistinguished_pairs(), before - separated);
+
+      std::uint64_t oracle_pairs = 0;
+      std::set<std::vector<std::uint32_t>> distinct;
+      for (std::size_t a = 0; a < n; ++a) {
+        distinct.insert(history[a]);
+        for (std::size_t b = a + 1; b < n; ++b) {
+          const bool together = history[a] == history[b];
+          oracle_pairs += together;
+          EXPECT_EQ(p.class_of(a) == p.class_of(b), together)
+              << "trial=" << trial << " round=" << round;
+        }
+      }
+      EXPECT_EQ(p.indistinguished_pairs(), oracle_pairs);
+      ASSERT_EQ(p.num_classes(), distinct.size());
+      ASSERT_EQ(p.num_classes(), ref.classes.size());
+      EXPECT_EQ(p.fully_refined(), distinct.size() == n);
+      std::vector<std::uint32_t> open;
+      for (std::size_t c = 0; c < p.num_classes(); ++c) {
+        EXPECT_EQ(members_of(p, c), ref.classes[c]);
+        for (std::uint32_t e : p.members(c)) EXPECT_EQ(p.class_of(e), c);
+        if (ref.classes[c].size() >= 2)
+          open.push_back(static_cast<std::uint32_t>(c));
+      }
+      EXPECT_EQ(std::vector<std::uint32_t>(p.open_classes().begin(),
+                                           p.open_classes().end()),
+                open);
+    }
+  }
+}
+
+// ------------------------------------------------------ matrix layout  --
+
+void expect_columns_match(const ResponseMatrix& rm) {
+  std::vector<std::uint32_t> detections(rm.num_faults(), 0);
+  std::vector<ResponseId> reference(rm.num_tests());
+  for (std::size_t j = 0; j < rm.num_tests(); ++j)
+    reference[j] = static_cast<ResponseId>(j % rm.num_distinct(j));
+  const std::vector<BitVec> rows = rm.difference_rows(reference);
+  for (std::size_t j = 0; j < rm.num_tests(); ++j) {
+    const auto col = rm.column(j);
+    ASSERT_EQ(col.size(), rm.num_faults());
+    for (FaultId f = 0; f < rm.num_faults(); ++f) {
+      EXPECT_EQ(col[f], rm.response(f, j)) << "f=" << f << " j=" << j;
+      EXPECT_EQ(rows[f].get(j), rm.response(f, j) != reference[j]);
+      detections[f] += rm.detected(f, j);
+    }
+  }
+  EXPECT_EQ(rm.detection_counts(), detections);
+}
+
+TEST(ResponseMatrixLayout, ColumnsMatchResponsesOnSimulatedMatrices) {
+  const Netlist nl = make_c17();
+  const FaultList faults = collapsed_fault_list(nl).collapsed;
+  TestSet tests(nl.num_inputs());
+  Rng rng(9);
+  tests.add_random(70, rng);  // two pattern batches
+  // Several threads exercise the chunk merge's id remap.
+  for (std::size_t threads : {1u, 3u})
+    expect_columns_match(
+        build_response_matrix(nl, faults, tests, {.num_threads = threads}));
+}
+
+TEST(ResponseMatrixLayout, ColumnsMatchResponsesOnTableMatrices) {
+  expect_columns_match(paper_example());
+}
+
+TEST(ResponseMatrixLayout, FromIdsTransposesFaultMajorInput) {
+  Rng rng(4);
+  const std::size_t n = 7;
+  const std::size_t k = 5;
+  std::vector<std::vector<Hash128>> sigs(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t distinct = 1 + j % 3;
+    for (std::size_t id = 0; id < distinct; ++id)
+      sigs[j].push_back(slot_token(id, 1));
+    sigs[j][rng.below(distinct)] = Hash128{};  // fault-free id anywhere
+  }
+  std::vector<ResponseId> resp(n * k);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < k; ++j)
+      resp[i * k + j] = static_cast<ResponseId>(rng.below(sigs[j].size()));
+  const ResponseMatrix rm = response_matrix_from_ids(resp, sigs, n, k, 3);
+  for (FaultId i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < k; ++j)
+      EXPECT_EQ(rm.response(i, j), resp[i * k + j]);
+  expect_columns_match(rm);
 }
 
 // ----------------------------------------------------------------- sizes --
