@@ -70,7 +70,7 @@ void BM_BuildResponseMatrix(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(faults.size()) * 64);
 }
-BENCHMARK(BM_BuildResponseMatrix)->Arg(0)->Arg(1);
+BENCHMARK(BM_BuildResponseMatrix)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace sddict

@@ -44,7 +44,7 @@ GateId Netlist::add_gate(GateType type, const std::string& name,
   for (GateId f : fanin) gates_[f].fanout.push_back(id);
   if (type == GateType::kInput) inputs_.push_back(id);
   if (type == GateType::kDff) dffs_.push_back(id);
-  topo_valid_ = false;
+  topo_.valid.store(false);
   return id;
 }
 
@@ -60,7 +60,7 @@ GateId Netlist::add_dff_placeholder(const std::string& name) {
   output_index_.push_back(-1);
   by_name_[name] = id;
   dffs_.push_back(id);
-  topo_valid_ = false;
+  topo_.valid.store(false);
   return id;
 }
 
@@ -74,7 +74,7 @@ void Netlist::connect_dff(GateId dff, GateId data_src) {
     throw std::runtime_error("connect_dff: '" + g.name + "' already connected");
   g.fanin.push_back(data_src);
   gates_[data_src].fanout.push_back(dff);
-  topo_valid_ = false;
+  topo_.valid.store(false);
 }
 
 void Netlist::mark_output(GateId g) {
@@ -114,14 +114,29 @@ void Netlist::validate() const {
     throw std::runtime_error("validate: netlist has no outputs");
 }
 
-const std::vector<GateId>& Netlist::topo_order() const {
-  if (!topo_valid_) build_topo();
+Netlist::TopoCache::TopoCache(const TopoCache& other) { *this = other; }
+
+Netlist::TopoCache& Netlist::TopoCache::operator=(const TopoCache& other) {
+  if (this == &other) return *this;
+  std::scoped_lock lock(mu, other.mu);
+  valid.store(other.valid.load());
+  order = other.order;
+  levels = other.levels;
+  return *this;
+}
+
+const Netlist::TopoCache& Netlist::topo() const {
+  if (!topo_.valid.load()) {
+    std::lock_guard lock(topo_.mu);
+    if (!topo_.valid.load()) build_topo();
+  }
   return topo_;
 }
 
+const std::vector<GateId>& Netlist::topo_order() const { return topo().order; }
+
 const std::vector<std::uint32_t>& Netlist::levels() const {
-  if (!topo_valid_) build_topo();
-  return levels_;
+  return topo().levels;
 }
 
 std::uint32_t Netlist::depth() const {
@@ -138,9 +153,11 @@ std::size_t Netlist::num_lines() const {
 
 void Netlist::build_topo() const {
   const std::size_t n = gates_.size();
-  topo_.clear();
-  topo_.reserve(n);
-  levels_.assign(n, 0);
+  std::vector<GateId>& order = topo_.order;
+  std::vector<std::uint32_t>& levels = topo_.levels;
+  order.clear();
+  order.reserve(n);
+  levels.assign(n, 0);
   // Kahn's algorithm; DFFs count as sources (their fanin edge is a
   // sequential edge, not a combinational dependency).
   std::vector<std::uint32_t> pending(n, 0);
@@ -157,16 +174,16 @@ void Netlist::build_topo() const {
   while (!ready.empty()) {
     const GateId g = ready.back();
     ready.pop_back();
-    topo_.push_back(g);
+    order.push_back(g);
     for (GateId s : gates_[g].fanout) {
       if (gates_[s].type == GateType::kDff) continue;  // sequential edge
-      levels_[s] = std::max(levels_[s], levels_[g] + 1);
+      levels[s] = std::max(levels[s], levels[g] + 1);
       if (--pending[s] == 0) ready.push_back(s);
     }
   }
-  if (topo_.size() != n)
+  if (order.size() != n)
     throw std::runtime_error("netlist '" + name_ + "' has a combinational cycle");
-  topo_valid_ = true;
+  topo_.valid.store(true);
 }
 
 }  // namespace sddict

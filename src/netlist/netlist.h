@@ -4,7 +4,9 @@
 // drive several outputs and an output can also feed other gates.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,7 +69,8 @@ class Netlist {
   // --- topology -------------------------------------------------------------
 
   // Gates in topological order (fanins before fanouts); DFF outputs are
-  // treated as sources. Cached; invalidated by add_gate.
+  // treated as sources. Cached; invalidated by add_gate. Safe to call from
+  // several threads at once on a netlist nobody is modifying.
   const std::vector<GateId>& topo_order() const;
 
   // Logic level of each gate: inputs/DFFs/constants at level 0, otherwise
@@ -80,6 +83,21 @@ class Netlist {
   std::size_t num_lines() const;
 
  private:
+  // Topological order and levels, built on first use. Concurrent const
+  // callers build it at most once: under `mu`, with `valid` publishing the
+  // result. A copy starts from the source's cache (and its own mutex).
+  struct TopoCache {
+    TopoCache() = default;
+    TopoCache(const TopoCache& other);
+    TopoCache& operator=(const TopoCache& other);
+
+    mutable std::mutex mu;
+    std::atomic<bool> valid{false};
+    std::vector<GateId> order;
+    std::vector<std::uint32_t> levels;
+  };
+
+  const TopoCache& topo() const;
   void build_topo() const;
 
   std::string name_;
@@ -90,9 +108,7 @@ class Netlist {
   std::vector<int> output_index_;
   std::unordered_map<std::string, GateId> by_name_;
 
-  mutable bool topo_valid_ = false;
-  mutable std::vector<GateId> topo_;
-  mutable std::vector<std::uint32_t> levels_;
+  mutable TopoCache topo_;
 };
 
 }  // namespace sddict

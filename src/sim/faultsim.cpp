@@ -5,11 +5,37 @@
 
 namespace sddict {
 
-FaultSimulator::FaultSimulator(const Netlist& nl) : good_(nl) {
-  fval_.assign(nl.num_gates(), 0);
-  touched_.assign(nl.num_gates(), false);
-  queued_.assign(nl.num_gates(), false);
+FaultSimulator::FaultSimulator(const Netlist& nl)
+    : good_(nl), level_(nl.levels()) {
+  const std::size_t n = nl.num_gates();
+  type_.resize(n);
+  fanin_.begin.assign(1, 0);
+  fanout_.begin.assign(1, 0);
+  for (GateId g = 0; g < n; ++g) {
+    const Gate& gate = nl.gate(g);
+    type_[g] = gate.type;
+    fanin_.ids.insert(fanin_.ids.end(), gate.fanin.begin(), gate.fanin.end());
+    fanin_.begin.push_back(static_cast<std::uint32_t>(fanin_.ids.size()));
+    fanout_.ids.insert(fanout_.ids.end(), gate.fanout.begin(),
+                       gate.fanout.end());
+    fanout_.begin.push_back(static_cast<std::uint32_t>(fanout_.ids.size()));
+  }
+  // A gate is a region root unless it feeds exactly one fanin pin and is not
+  // a primary output; otherwise it belongs to its single consumer's region.
+  // Consumers come later in topological order, so walk it backwards.
+  ffr_root_.resize(n);
+  const auto& topo = nl.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const GateId g = *it;
+    const auto fanout = fanout_[g];
+    ffr_root_[g] = fanout.size() != 1 || nl.is_output(g)
+                       ? g
+                       : ffr_root_[fanout.front()];
+  }
+  fval_.assign(n, 0);
+  queued_.assign(n, 0);
   level_queue_.resize(nl.depth() + 1);
+  root_effects_.resize(n);
 }
 
 void FaultSimulator::load_batch(const std::vector<std::uint64_t>& input_words,
@@ -19,123 +45,114 @@ void FaultSimulator::load_batch(const std::vector<std::uint64_t>& input_words,
   pattern_mask_ = num_patterns == 64 ? ~std::uint64_t{0}
                                      : (std::uint64_t{1} << num_patterns) - 1;
   good_.simulate(input_words);
+  fval_ = good_.values();
+  ++generation_;
+  arena_.clear();
 }
 
-bool FaultSimulator::inject(const StuckFault& f) {
-  const Netlist& nl = netlist();
+std::uint64_t FaultSimulator::site_value(const StuckFault& f) const {
   const std::uint64_t cval = f.value ? ~std::uint64_t{0} : 0;
-  if (f.is_output_fault()) {
-    if (good_.value(f.gate) == cval) return false;
-    fval_[f.gate] = cval;
-    touched_[f.gate] = true;
-    touched_list_.push_back(f.gate);
-    return true;
-  }
+  if (f.is_output_fault()) return cval;
   // Pin fault: re-evaluate the site gate with one fanin forced.
-  const Gate& gate = nl.gate(f.gate);
-  const std::size_t arity = gate.fanin.size();
-  std::uint64_t buf[64];
-  std::vector<std::uint64_t> big;
-  const std::uint64_t* in = buf;
-  if (arity <= 64) {
-    for (std::size_t p = 0; p < arity; ++p) buf[p] = good_.value(gate.fanin[p]);
-    buf[static_cast<std::size_t>(f.pin)] = cval;
-  } else {
-    big.resize(arity);
-    for (std::size_t p = 0; p < arity; ++p) big[p] = good_.value(gate.fanin[p]);
-    big[static_cast<std::size_t>(f.pin)] = cval;
-    in = big.data();
-  }
-  const std::uint64_t v = eval_gate_words(gate.type, in, arity);
-  if (v == good_.value(f.gate)) return false;
-  fval_[f.gate] = v;
-  touched_[f.gate] = true;
-  touched_list_.push_back(f.gate);
-  return true;
+  const auto fanin = fanin_[f.gate];
+  const auto pin = static_cast<std::size_t>(f.pin);
+  return eval_fanins(type_[f.gate], fanin.size(), [&](std::size_t p) {
+    return p == pin ? cval : good_.value(fanin[p]);
+  });
 }
 
-void FaultSimulator::schedule_fanouts(GateId g) {
-  const Netlist& nl = netlist();
-  for (GateId s : nl.gate(g).fanout) {
-    if (queued_[s]) continue;
-    queued_[s] = true;
-    level_queue_[nl.levels()[s]].push_back(s);
+std::uint64_t FaultSimulator::difference_at_root(const StuckFault& f,
+                                                 GateId* root) const {
+  GateId g = f.gate;
+  std::uint64_t v = site_value(f);
+  std::uint64_t d = (v ^ good_.value(g)) & pattern_mask_;
+  *root = ffr_root_[g];
+  while (d != 0 && g != *root) {
+    const GateId prev = g;
+    g = fanout_[g].front();
+    const auto fanin = fanin_[g];
+    v = eval_fanins(type_[g], fanin.size(), [&](std::size_t p) {
+      return fanin[p] == prev ? v : good_.value(fanin[p]);
+    });
+    d = (v ^ good_.value(g)) & pattern_mask_;
   }
+  return d;
 }
 
-std::uint64_t FaultSimulator::propagate(const DiffSink* sink) {
+const FaultSimulator::RootEffect& FaultSimulator::root_effect(GateId root) {
+  RootEffect& e = root_effects_[root];
+  if (e.generation == generation_) return e;
   const Netlist& nl = netlist();
-  const GateId site = touched_list_.front();
-  schedule_fanouts(site);
-
-  std::uint64_t buf[64];
-  std::vector<std::uint64_t> big;
-  const std::size_t site_level = nl.levels()[site];
-  for (std::size_t lvl = site_level; lvl < level_queue_.size(); ++lvl) {
-    auto& bucket = level_queue_[lvl];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId g = bucket[i];
-      queued_[g] = false;
-      const Gate& gate = nl.gate(g);
-      const std::size_t arity = gate.fanin.size();
-      const std::uint64_t* in = buf;
-      if (arity <= 64) {
-        for (std::size_t p = 0; p < arity; ++p) buf[p] = faulty_value(gate.fanin[p]);
-      } else {
-        big.resize(arity);
-        for (std::size_t p = 0; p < arity; ++p) big[p] = faulty_value(gate.fanin[p]);
-        in = big.data();
-      }
-      const std::uint64_t v = eval_gate_words(gate.type, in, arity);
-      if (v == faulty_value(g)) continue;
-      if (!touched_[g]) {
-        touched_[g] = true;
-        touched_list_.push_back(g);
-      }
-      fval_[g] = v;
-      schedule_fanouts(g);
-    }
-    bucket.clear();
-  }
-
-  // Collect output differences over the touched set.
-  std::uint64_t any_diff = 0;
+  e.generation = generation_;
+  e.begin = static_cast<std::uint32_t>(arena_.size());
+  e.any = 0;
+  touch(root, good_.value(root) ^ pattern_mask_);
+  propagate();
   for (GateId g : touched_list_) {
     if (!nl.is_output(g)) continue;
     const std::uint64_t diff = (fval_[g] ^ good_.value(g)) & pattern_mask_;
     if (diff == 0) continue;
-    any_diff |= diff;
-    if (sink != nullptr) (*sink)(static_cast<std::size_t>(nl.output_index(g)), diff);
+    arena_.push_back({static_cast<std::uint32_t>(nl.output_index(g)), diff});
+    e.any |= diff;
   }
-  return any_diff;
+  e.end = static_cast<std::uint32_t>(arena_.size());
+  reset_touched();
+  return e;
+}
+
+// Levelized propagation evaluates every gate at most once and never the
+// gate it starts from, so each touched gate is listed exactly once.
+void FaultSimulator::touch(GateId g, std::uint64_t v) {
+  touched_list_.push_back(g);
+  fval_[g] = v;
+}
+
+void FaultSimulator::schedule_fanouts(GateId g) {
+  for (GateId s : fanout_[g]) {
+    if (queued_[s]) continue;
+    queued_[s] = 1;
+    level_queue_[level_[s]].push_back(s);
+  }
+}
+
+void FaultSimulator::propagate() {
+  const GateId site = touched_list_.front();
+  schedule_fanouts(site);
+  for (std::size_t lvl = level_[site]; lvl < level_queue_.size(); ++lvl) {
+    auto& bucket = level_queue_[lvl];
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      const GateId g = bucket[i];
+      queued_[g] = 0;
+      const auto fanin = fanin_[g];
+      const std::uint64_t v = eval_fanins(
+          type_[g], fanin.size(), [&](std::size_t p) { return fval_[fanin[p]]; });
+      if (v == fval_[g]) continue;
+      touch(g, v);
+      schedule_fanouts(g);
+    }
+    bucket.clear();
+  }
 }
 
 void FaultSimulator::reset_touched() {
-  for (GateId g : touched_list_) touched_[g] = false;
+  for (GateId g : touched_list_) fval_[g] = good_.value(g);
   touched_list_.clear();
 }
 
-std::uint64_t FaultSimulator::simulate_fault(const StuckFault& f,
-                                             const DiffSink& sink) {
-  if (!inject(f)) return 0;
-  const std::uint64_t d = propagate(&sink);
-  reset_touched();
-  return d;
-}
-
 std::uint64_t FaultSimulator::detect_word(const StuckFault& f) {
-  if (!inject(f)) return 0;
-  const std::uint64_t d = propagate(nullptr);
-  reset_touched();
-  return d;
+  GateId root;
+  const std::uint64_t d = difference_at_root(f, &root);
+  return d == 0 ? 0 : d & root_effect(root).any;
 }
 
 void FaultSimulator::simulate_fault_full(
     const StuckFault& f, std::vector<std::uint64_t>* faulty_values) {
-  *faulty_values = good_.values();
-  if (!inject(f)) return;
-  propagate(nullptr);
-  for (GateId g : touched_list_) (*faulty_values)[g] = fval_[g];
+  const std::uint64_t v = site_value(f);
+  if (v != good_.value(f.gate)) {
+    touch(f.gate, v);
+    propagate();
+  }
+  *faulty_values = fval_;
   reset_touched();
 }
 

@@ -17,21 +17,12 @@ void BatchSimulator::simulate(const std::vector<std::uint64_t>& input_words) {
   for (std::size_t i = 0; i < input_words.size(); ++i)
     values_[nl_->inputs()[i]] = input_words[i];
 
-  std::uint64_t fanin_buf[64];
-  std::vector<std::uint64_t> fanin_big;
   for (GateId g : nl_->topo_order()) {
     const Gate& gate = nl_->gate(g);
     if (gate.type == GateType::kInput) continue;
-    const std::size_t arity = gate.fanin.size();
-    const std::uint64_t* in = fanin_buf;
-    if (arity <= 64) {
-      for (std::size_t p = 0; p < arity; ++p) fanin_buf[p] = values_[gate.fanin[p]];
-    } else {
-      fanin_big.resize(arity);
-      for (std::size_t p = 0; p < arity; ++p) fanin_big[p] = values_[gate.fanin[p]];
-      in = fanin_big.data();
-    }
-    values_[g] = eval_gate_words(gate.type, in, arity);
+    values_[g] = eval_fanins(gate.type, gate.fanin.size(), [&](std::size_t p) {
+      return values_[gate.fanin[p]];
+    });
   }
 }
 

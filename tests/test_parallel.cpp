@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bmcirc/embedded.h"
@@ -230,6 +232,69 @@ TEST(ParallelDeterminism, C17MatrixMatchesAtEveryThreadCount) {
     const ResponseMatrix many =
         build_response_matrix(nl, faults, tests, {.num_threads = threads});
     expect_same_matrix(one, many);
+  }
+}
+
+// ----------------------------------------------------- Netlist topology --
+
+// A netlist whose topology cache has never been built: a random DAG of
+// two-input gates, identical on every call.
+Netlist cold_random_dag() {
+  static constexpr GateType kTypes[] = {GateType::kAnd, GateType::kNand,
+                                        GateType::kOr, GateType::kNor,
+                                        GateType::kXor};
+  Netlist nl("dag");
+  Rng rng(11);
+  std::vector<GateId> ids;
+  for (int i = 0; i < 16; ++i)
+    ids.push_back(nl.add_gate(GateType::kInput, "i" + std::to_string(i)));
+  for (int i = 0; i < 300; ++i) {
+    const GateId a = ids[rng.below(ids.size())];
+    const GateId b = ids[rng.below(ids.size())];
+    ids.push_back(nl.add_gate(kTypes[rng.below(5)], "g" + std::to_string(i),
+                              {a, b}));
+  }
+  for (std::size_t i = ids.size() - 8; i < ids.size(); ++i)
+    nl.mark_output(ids[i]);
+  return nl;
+}
+
+TEST(NetlistTopology, ConcurrentFirstUseAgrees) {
+  const Netlist reference = cold_random_dag();
+  const std::vector<std::uint32_t> levels = reference.levels();
+  const std::vector<GateId> order = reference.topo_order();
+  for (int round = 0; round < 20; ++round) {
+    const Netlist nl = cold_random_dag();
+    std::atomic<bool> go{false};
+    std::vector<int> ok(8, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < ok.size(); ++t)
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        ok[t] = nl.levels() == levels && nl.topo_order() == order &&
+                nl.depth() == reference.depth();
+      });
+    go.store(true);
+    for (auto& th : threads) th.join();
+    for (std::size_t t = 0; t < ok.size(); ++t)
+      EXPECT_EQ(ok[t], 1) << "round " << round << " thread " << t;
+  }
+}
+
+TEST(NetlistTopology, ResponseMatrixOnColdNetlist) {
+  // build_response_matrix constructs a simulator on every chunk thread, so
+  // a cold netlist is first used by several threads at once.
+  const Netlist warm = cold_random_dag();
+  const FaultList faults = collapsed_fault_list(warm).collapsed;
+  TestSet tests(warm.num_inputs());
+  Rng rng(5);
+  tests.add_random(100, rng);
+  const ResponseMatrix serial =
+      build_response_matrix(warm, faults, tests, {.num_threads = 1});
+  for (int round = 0; round < 10; ++round) {
+    const Netlist cold = cold_random_dag();
+    expect_same_matrix(
+        serial, build_response_matrix(cold, faults, tests, {.num_threads = 4}));
   }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bmcirc/embedded.h"
+#include "bmcirc/registry.h"
 #include "bmcirc/synth.h"
 #include "fault/collapse.h"
 #include "netlist/transform.h"
@@ -231,6 +234,167 @@ TEST(FaultSimulator, CountDetections) {
   // Exhaustive test set detects every (testable) collapsed fault of c17.
   for (std::size_t i = 0; i < counts.size(); ++i)
     EXPECT_GT(counts[i], 0u) << fault_name(nl, faults[i]);
+}
+
+// ------------------------------------- fanout-free regions vs. the oracle --
+
+// Checks the region-based path against simulate_fault_full, which injects
+// the fault and re-simulates its whole cone: for every fault of the
+// uncollapsed universe and every batch of `num_patterns` random patterns,
+// simulate_fault must report exactly the outputs whose oracle value differs
+// from the good value on a real pattern slot, with those words, and
+// detect_word must return their OR. Faults are visited twice per batch in
+// different orders so both cache-miss and cache-hit root lookups are used,
+// interleaved with the oracle's own injections.
+void expect_matches_full_oracle(const Netlist& nl, std::size_t num_patterns) {
+  const FaultList faults = enumerate_all_faults(nl);
+  ASSERT_FALSE(faults.empty());
+  Rng rng(num_patterns);
+  TestSet ts(nl.num_inputs());
+  ts.add_random(num_patterns, rng);
+  FaultSimulator fsim(nl);
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> full;
+  for (std::size_t first = 0; first < ts.size(); first += 64) {
+    const std::size_t count = std::min<std::size_t>(64, ts.size() - first);
+    const std::uint64_t mask =
+        count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+    ts.pack_batch(first, count, &words);
+    fsim.load_batch(words, count);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t k = 0; k < faults.size(); ++k) {
+        const StuckFault& f =
+            faults[static_cast<FaultId>(pass == 0 ? k : faults.size() - 1 - k)];
+        fsim.simulate_fault_full(f, &full);
+        std::vector<std::uint64_t> expected(nl.num_outputs(), 0);
+        std::uint64_t expected_any = 0;
+        for (std::size_t o = 0; o < nl.num_outputs(); ++o) {
+          const GateId out = nl.outputs()[o];
+          expected[o] = (full[out] ^ fsim.good_value(out)) & mask;
+          expected_any |= expected[o];
+        }
+        std::vector<std::uint64_t> got(nl.num_outputs(), 0);
+        const std::uint64_t any =
+            fsim.simulate_fault(f, [&](std::size_t o, std::uint64_t w) {
+              ASSERT_LT(o, got.size());
+              EXPECT_NE(w, 0u);
+              EXPECT_EQ(got[o], 0u) << "output " << o << " reported twice";
+              got[o] = w;
+            });
+        EXPECT_EQ(got, expected) << fault_name(nl, f) << " batch " << first;
+        EXPECT_EQ(any, expected_any) << fault_name(nl, f);
+        EXPECT_EQ(fsim.detect_word(f), expected_any) << fault_name(nl, f);
+      }
+    }
+  }
+}
+
+TEST(FaultSimulatorRegions, MatchesFullOracleOnBenchmarks) {
+  for (const std::string name : {"c17", "s27", "s298", "s1423"}) {
+    SCOPED_TRACE(name);
+    const Netlist nl = full_scan(load_benchmark(name));
+    expect_matches_full_oracle(nl, 64);
+    expect_matches_full_oracle(nl, 37);   // partial pattern mask
+    expect_matches_full_oracle(nl, 165);  // later batches reuse the cache
+  }
+}
+
+TEST(FaultSimulatorRegions, OutputInsideSingleFanoutChain) {
+  // n2 has one fanout but is also a primary output, so it roots its own
+  // region and n1's effect must be reported at n2 and beyond.
+  Netlist nl("po_chain");
+  const GateId a = nl.add_gate(GateType::kInput, "a");
+  const GateId b = nl.add_gate(GateType::kInput, "b");
+  const GateId c = nl.add_gate(GateType::kInput, "c");
+  const GateId n1 = nl.add_gate(GateType::kAnd, "n1", {a, b});
+  const GateId n2 = nl.add_gate(GateType::kNot, "n2", {n1});
+  const GateId n3 = nl.add_gate(GateType::kOr, "n3", {n2, c});
+  const GateId n4 = nl.add_gate(GateType::kBuf, "n4", {n3});
+  nl.mark_output(n2);
+  nl.mark_output(n4);
+  expect_matches_full_oracle(nl, 64);
+  expect_matches_full_oracle(nl, 5);
+}
+
+TEST(FaultSimulatorRegions, DriverListedTwiceByOneGate) {
+  // g lists n twice: n has fanout count 2, is a root, and carries one pin
+  // fault per listing.
+  Netlist nl("dup");
+  const GateId a = nl.add_gate(GateType::kInput, "a");
+  const GateId b = nl.add_gate(GateType::kInput, "b");
+  const GateId n = nl.add_gate(GateType::kNot, "n", {a});
+  const GateId g = nl.add_gate(GateType::kAnd, "g", {n, b, n});
+  const GateId x = nl.add_gate(GateType::kXor, "x", {g, a});
+  nl.mark_output(x);
+  const FaultList faults = enumerate_all_faults(nl);
+  EXPECT_EQ(std::count(faults.begin(), faults.end(), StuckFault{g, 2, 0}), 1);
+  expect_matches_full_oracle(nl, 64);
+  expect_matches_full_oracle(nl, 3);
+}
+
+TEST(FaultSimulatorRegions, ReconvergentFanout) {
+  // s fans out to two paths that reconverge at an XOR (which can mask the
+  // effect) and at an AND.
+  Netlist nl("reconv");
+  const GateId a = nl.add_gate(GateType::kInput, "a");
+  const GateId b = nl.add_gate(GateType::kInput, "b");
+  const GateId c = nl.add_gate(GateType::kInput, "c");
+  const GateId s = nl.add_gate(GateType::kNand, "s", {a, b});
+  const GateId p1 = nl.add_gate(GateType::kNot, "p1", {s});
+  const GateId p2 = nl.add_gate(GateType::kOr, "p2", {s, c});
+  const GateId q1 = nl.add_gate(GateType::kBuf, "q1", {p1});
+  const GateId x = nl.add_gate(GateType::kXor, "x", {q1, p2});
+  const GateId y = nl.add_gate(GateType::kAnd, "y", {p2, x, c});
+  nl.mark_output(x);
+  nl.mark_output(y);
+  expect_matches_full_oracle(nl, 64);
+  expect_matches_full_oracle(nl, 37);
+}
+
+TEST(FaultSimulatorRegions, WideGateOnChain) {
+  // A 100-input AND inside a single-fanout chain: the chain walk
+  // re-evaluates it with the previous gate's faulty word.
+  Netlist nl("wide_chain");
+  std::vector<GateId> in;
+  for (int i = 0; i < 100; ++i)
+    in.push_back(nl.add_gate(GateType::kInput, "i" + std::to_string(i)));
+  std::vector<GateId> fanin = in;
+  fanin[0] = nl.add_gate(GateType::kNot, "n", {in[0]});
+  const GateId w = nl.add_gate(GateType::kNand, "w", fanin);
+  const GateId z = nl.add_gate(GateType::kNot, "z", {w});
+  nl.mark_output(z);
+  // Random patterns almost never set 99 inputs; bias toward ones so the
+  // wide gate is sensitized in some slots.
+  FaultSimulator fsim(nl);
+  std::vector<std::uint64_t> words(nl.num_inputs(), ~std::uint64_t{0});
+  words[0] = 0x00000000FFFFFFFFull;  // n = 1 on the upper 32 slots
+  words[17] = 0x0000FFFF0000FFFFull;
+  fsim.load_batch(words, 64);
+  std::vector<std::uint64_t> full;
+  for (const StuckFault& f : enumerate_all_faults(nl)) {
+    fsim.simulate_fault_full(f, &full);
+    const std::uint64_t expected = full[z] ^ fsim.good_value(z);
+    EXPECT_EQ(fsim.detect_word(f), expected) << fault_name(nl, f);
+  }
+  EXPECT_EQ(fsim.detect_word({w, 17, 1}), 0xFFFF0000'00000000ull);
+  EXPECT_EQ(fsim.detect_word({fanin[0], -1, 0}), 0x0000FFFF'00000000ull);
+  expect_matches_full_oracle(nl, 64);
+}
+
+TEST(FaultSimulatorRegions, ConstantGates) {
+  // A constant on a single-fanout chain and one with fanout 2.
+  Netlist nl("consts");
+  const GateId a = nl.add_gate(GateType::kInput, "a");
+  const GateId b = nl.add_gate(GateType::kInput, "b");
+  const GateId zero = nl.add_gate(GateType::kConst0, "zero");
+  const GateId one = nl.add_gate(GateType::kConst1, "one");
+  const GateId nz = nl.add_gate(GateType::kNot, "nz", {zero});
+  const GateId y = nl.add_gate(GateType::kAnd, "y", {a, nz, one});
+  const GateId z = nl.add_gate(GateType::kXor, "z", {b, one});
+  nl.mark_output(y);
+  nl.mark_output(z);
+  expect_matches_full_oracle(nl, 64);
+  expect_matches_full_oracle(nl, 2);
 }
 
 // ------------------------------------------------------- response matrix --
