@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -42,6 +43,7 @@
 #include "netlist/stats.h"
 #include "netlist/transform.h"
 #include "session/engine.h"
+#include "store/signature_store.h"
 #include "tgen/diagset.h"
 #include "util/cli.h"
 #include "util/strings.h"
@@ -147,7 +149,8 @@ int run_session_mode(const Netlist& nl, const FaultList& faults,
   }
 
   const SessionEvidence ev = aggregate_runs(runs);
-  const SessionEngine engine(sd);
+  const SessionEngine engine(
+      std::make_shared<const SignatureStore>(SignatureStore::build(sd)));
   SessionOptions sopt;
   sopt.engine = eopt;
   const SessionDiagnosis d = engine.diagnose(ev, sopt);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "store/kernels.h"
@@ -65,46 +65,38 @@ class TopKBound {
   std::priority_queue<std::uint32_t> heap_;
 };
 
-// Tri-state pass/fail projection: 1 fail, 0 pass, -1 not derivable (for a
-// row bit) or don't-care (for an observation).
-struct PfProjection {
-  std::vector<std::int8_t> obs;                  // per test
-  std::function<int(FaultId, std::size_t)> bit;  // per (fault, test)
-  std::size_t comparable_tests = 0;              // tests with obs[t] >= 0
-};
-
 // Everything the staged chain needs to know about the observation before
-// any fault is scored.
+// any fault is scored, including its pass/fail projection: a cared test
+// fails when its value differs from the fault-free id 0. kUnknownResponse
+// never equals it, so an unknown response still carries its one honest
+// bit: the test failed.
 struct ObservationSummary {
   std::size_t num_faults = 0;
   std::size_t effective_tests = 0;
   std::size_t dont_care_tests = 0;
   std::size_t unknown_tests = 0;
+  BitVec fails;  // O: cared tests that fail
+  BitVec care;   // C: tests that are not don't-cares
 };
 
-// Shared first pass over the qualified observation: counts the qualifier
-// classes and computes the pass/fail projection of the observation.
-// `ff_ids`, when given, holds the per-test fault-free response id; without
-// it the fault-free response is id 0 (the precondition documented on the
-// matrix-less entry points). kUnknownResponse never equals the fault-free
-// id, so an unknown response still carries its one honest bit: the test
-// failed.
-std::vector<std::int8_t> project_observation(
-    const std::vector<Observed>& observed, ObservationSummary* sum,
-    const std::vector<ResponseId>* ff_ids = nullptr) {
-  std::vector<std::int8_t> pf(observed.size(), -1);
+ObservationSummary summarize(std::size_t num_faults,
+                             const std::vector<Observed>& observed) {
+  ObservationSummary sum;
+  sum.num_faults = num_faults;
+  sum.fails = BitVec(observed.size());
+  sum.care = BitVec(observed.size());
   for (std::size_t t = 0; t < observed.size(); ++t) {
     const Observed& o = observed[t];
     if (o.dont_care()) {
-      ++sum->dont_care_tests;
+      ++sum.dont_care_tests;
       continue;
     }
-    if (o.value == kUnknownResponse) ++sum->unknown_tests;
-    const ResponseId ff = ff_ids ? (*ff_ids)[t] : 0;
-    pf[t] = o.value == ff ? 0 : 1;
+    if (o.value == kUnknownResponse) ++sum.unknown_tests;
+    sum.care.set(t, true);
+    sum.fails.set(t, o.value != 0);
   }
-  sum->effective_tests = observed.size() - sum->dont_care_tests;
-  return pf;
+  sum.effective_tests = observed.size() - sum.dont_care_tests;
+  return sum;
 }
 
 struct StageRank {
@@ -129,15 +121,13 @@ struct StageRank {
 // are bit-identical to the unpruned sweep, including on budget-stopped
 // prefixes.
 //
-// `tiebreak` (optional) orders faults whose mismatch counts tie before the
-// fault-id fallback; it never reorders differently-scored candidates, so
-// reported mismatch counts are unaffected.
-template <typename MismFn>
+// `tiebreak` (nullptr for none) orders faults whose mismatch counts tie
+// before the fault-id fallback; it never reorders differently-scored
+// candidates, so reported mismatch counts are unaffected.
+template <typename MismFn, typename TieFn>
 StageRank rank_stage(std::size_t num_faults, std::size_t effective,
                      const EngineOptions& opt, BudgetScope& scope,
-                     MismFn&& mism,
-                     const std::function<std::uint32_t(FaultId)>& tiebreak =
-                         nullptr) {
+                     const MismFn& mism, const TieFn& tiebreak) {
   StageRank r;
   const auto eff32 = static_cast<std::uint32_t>(effective);
   const std::size_t k = std::max<std::size_t>(opt.max_results, 2);
@@ -205,7 +195,7 @@ StageRank rank_stage(std::size_t num_faults, std::size_t effective,
       if (opt.prune) best.add(m);
     }
   }
-  if (tiebreak) {
+  if constexpr (!std::is_null_pointer_v<TieFn>) {
     // Keyed by fault id (not position), so the comparator stays correct if
     // the candidate list is ever filtered or reordered before the sort.
     std::vector<std::uint32_t> sec(num_faults, 0);
@@ -239,34 +229,38 @@ StageRank rank_stage(std::size_t num_faults, std::size_t effective,
   return r;
 }
 
-// Bounded scorer shared by run_chain's stages: exact when the result is
-// <= limit, early-exits otherwise (the bounded-kernel contract).
-using BoundedScorer = std::function<std::uint32_t(FaultId, std::uint32_t)>;
-
-// The staged fallback chain shared by all dictionary types.
-EngineDiagnosis run_chain(const ObservationSummary& sum,
-                          const BoundedScorer& native, const PfProjection& pf,
-                          const EngineOptions& opt) {
+// The staged fallback chain shared by all dictionary types. `native(f,
+// limit)` is the kind's bounded scorer (the bounded-kernel contract);
+// `project()` builds the kind's PassFailRows, called at most once and only
+// when the degraded tiebreak or stage 3 needs them.
+template <typename NativeFn, typename ProjectFn>
+EngineDiagnosis run_chain(const ObservationSummary& sum, const NativeFn& native,
+                          const ProjectFn& project, const EngineOptions& opt) {
   BudgetScope scope(opt.budget);
   EngineDiagnosis out;
   out.dont_care_tests = sum.dont_care_tests;
   out.unknown_tests = sum.unknown_tests;
   out.effective_tests = sum.effective_tests;
 
-  // Pass/fail-projection mismatch count of one fault, reused by the
+  // Pass/fail-projection mismatch count of one fault (engine.h):
+  // popcount((fail ^ O) & C & (~O | pass_known)), reused by the
   // native-stage tiebreak and by stage 3.
-  const auto proj_mism_bounded = [&pf](FaultId f, std::uint32_t limit) {
-    std::uint32_t mism = 0;
-    for (std::size_t t = 0; t < pf.obs.size(); ++t) {
-      const int o = pf.obs[t];
-      if (o < 0) continue;
-      const int b = pf.bit(f, t);
-      if (b >= 0 && b != o && ++mism > limit) return mism;
-    }
-    return mism;
+  const kernels::KernelTable& kt = kernels::dispatch();
+  const std::uint64_t* ow = sum.fails.words().data();
+  PassFailRows rows;
+  std::vector<std::uint64_t> mask;
+  bool projected = false;
+  const auto ensure_rows = [&] {
+    if (projected) return;
+    projected = true;
+    rows = project();
+    mask.resize(rows.words);
+    for (std::size_t w = 0; w < rows.words; ++w)
+      mask[w] = sum.care.words()[w] & (~ow[w] | rows.pass_known[w]);
   };
-  const auto proj_mism = [&proj_mism_bounded](FaultId f) {
-    return proj_mism_bounded(f, kNoLimit);
+  const auto proj_mism = [&](FaultId f, std::uint32_t limit) {
+    return kernels::masked_hamming_bounded(kt, rows.row(f), ow, mask.data(),
+                                           rows.words, limit);
   };
 
   // Stages 1+2: exact / tolerant nearest match in the dictionary's native
@@ -282,11 +276,15 @@ EngineDiagnosis run_chain(const ObservationSummary& sum,
   // observation skips this and reproduces the dictionary's classical
   // ranking exactly.
   const bool degraded = sum.dont_care_tests > 0 || sum.unknown_tests > 0;
-  StageRank nat = rank_stage(sum.num_faults, sum.effective_tests, opt, scope,
-                             native,
-                             degraded ? std::function<std::uint32_t(FaultId)>(
-                                            proj_mism)
-                                      : nullptr);
+  StageRank nat;
+  if (degraded) {
+    ensure_rows();
+    nat = rank_stage(sum.num_faults, sum.effective_tests, opt, scope, native,
+                     [&](FaultId f) { return proj_mism(f, kNoLimit); });
+  } else {
+    nat = rank_stage(sum.num_faults, sum.effective_tests, opt, scope, native,
+                     nullptr);
+  }
   if (!nat.matches.empty() && sum.unknown_tests == 0 &&
       nat.best <= opt.tolerance) {
     out.outcome = nat.best == 0 ? DiagnosisOutcome::kExactMatch
@@ -301,8 +299,9 @@ EngineDiagnosis run_chain(const ObservationSummary& sum,
 
   // Stage 3: pass/fail projection — compare only the tests where both the
   // observation and the dictionary row project onto pass/fail.
-  StageRank proj = rank_stage(sum.num_faults, pf.comparable_tests, opt, scope,
-                              proj_mism_bounded);
+  ensure_rows();
+  StageRank proj = rank_stage(sum.num_faults, sum.effective_tests, opt, scope,
+                              proj_mism, nullptr);
   out.completed = nat.complete && proj.complete;
   out.stop_reason = out.completed ? StopReason::kCompleted : scope.reason();
 
@@ -319,42 +318,34 @@ EngineDiagnosis run_chain(const ObservationSummary& sum,
   out.matches = std::move(proj.matches);
   out.best_mismatches = proj.best;
   out.margin = proj.margin;
-  out.effective_tests = pf.comparable_tests;
   if (!out.matches.empty() && proj.best <= opt.tolerance) {
     out.outcome = DiagnosisOutcome::kPassFailProjection;
     return out;
   }
 
   // Stage 4: unmodeled defect. Build a best-effort multiple-fault cover of
-  // the observed failing tests (greedy set cover over detection sets).
-  // Detector lists and per-fault gains are built once and maintained
-  // incrementally as tests get covered, so each pick costs one max-scan
-  // plus the decrements its newly covered tests induce instead of an
-  // O(faults x failing) recount. Selection is unchanged from the
-  // recounting version — highest gain, lowest fault id among ties — so
-  // the covers are identical.
+  // the observed failing tests (greedy set cover over the fail rows):
+  // highest gain, lowest fault id among ties. Gains are counted once and
+  // maintained incrementally — each pick subtracts every row's overlap
+  // with the tests it newly covers — so the covers equal a per-pick
+  // recount's.
   out.outcome = DiagnosisOutcome::kUnmodeledDefect;
-  std::vector<std::size_t> failing;
-  for (std::size_t t = 0; t < pf.obs.size(); ++t)
-    if (pf.obs[t] == 1) failing.push_back(t);
-  std::vector<std::vector<FaultId>> detectors(failing.size());
-  std::vector<std::size_t> gain(sum.num_faults, 0);
+  const std::size_t nw = rows.words;
+  const std::vector<std::uint64_t> zeros(nw, 0);
+  std::vector<std::uint64_t> uncovered = sum.fails.words();
+  std::vector<std::uint64_t> newly(nw);
+  std::vector<std::uint32_t> gain(sum.num_faults, 0);
   for (FaultId f = 0; f < sum.num_faults; ++f)
-    for (std::size_t i = 0; i < failing.size(); ++i)
-      if (pf.bit(f, failing[i]) == 1) {
-        detectors[i].push_back(f);
-        ++gain[f];
-      }
-  std::vector<bool> covered(failing.size(), false);
-  std::size_t uncovered = failing.size();
-  while (uncovered > 0 && out.cover.size() < opt.max_cover) {
+    gain[f] = kt.masked_hamming(rows.row(f), zeros.data(), uncovered.data(), nw);
+  std::size_t left = sum.fails.count_ones();
+  while (left > 0 && out.cover.size() < opt.max_cover) {
     if (scope.stop()) {
       out.completed = false;
       out.stop_reason = scope.reason();
       break;
     }
     FaultId best_f = kNoFault;
-    std::size_t best_gain = 0;
+    std::uint32_t best_gain = 0;
     for (FaultId f = 0; f < sum.num_faults; ++f)
       if (gain[f] > best_gain) {
         best_gain = gain[f];
@@ -362,15 +353,97 @@ EngineDiagnosis run_chain(const ObservationSummary& sum,
       }
     if (best_gain == 0) break;
     out.cover.push_back(best_f);
-    for (std::size_t i = 0; i < failing.size(); ++i)
-      if (!covered[i] && pf.bit(best_f, failing[i]) == 1) {
-        covered[i] = true;
-        --uncovered;
-        for (FaultId f : detectors[i]) --gain[f];
-      }
+    const std::uint64_t* picked = rows.row(best_f);
+    for (std::size_t w = 0; w < nw; ++w) {
+      newly[w] = picked[w] & uncovered[w];
+      uncovered[w] &= ~picked[w];
+    }
+    left -= best_gain;
+    for (FaultId f = 0; f < sum.num_faults; ++f)
+      if (gain[f] != 0)
+        gain[f] -= kt.masked_hamming(rows.row(f), zeros.data(), newly.data(),
+                                     nw);
   }
-  out.uncovered_failures = uncovered;
+  out.uncovered_failures = left;
   return out;
+}
+
+// --- Pass/fail projection builders (engine.h), templated over the same
+// row accessors as the per-kind implementations below.
+
+PassFailRows empty_rows(std::size_t num_faults, std::size_t num_tests) {
+  PassFailRows p;
+  p.words = BitVec::word_count(num_tests);
+  p.fail.assign(num_faults * p.words, 0);
+  p.pass_known.assign(p.words, 0);
+  return p;
+}
+
+void set_bit(std::uint64_t* words, std::size_t i) {
+  words[i >> 6] |= std::uint64_t{1} << (i & 63);
+}
+
+// Same/different; pass/fail is the case of every baseline equal to 0.
+// BaselineFn: test -> baseline response id.
+template <typename RowWordsFn, typename BaselineFn>
+PassFailRows samediff_rows(std::size_t num_faults, std::size_t num_tests,
+                           const RowWordsFn& row_words,
+                           const BaselineFn& baseline) {
+  PassFailRows p = empty_rows(num_faults, num_tests);
+  for (std::size_t t = 0; t < num_tests; ++t)
+    if (baseline(t) == 0) set_bit(p.pass_known.data(), t);
+  const BitVec in_range(num_tests, true);
+  const std::uint64_t* valid = in_range.words().data();
+  for (FaultId f = 0; f < num_faults; ++f) {
+    const std::uint64_t* row = row_words(f);
+    std::uint64_t* out = p.fail.data() + f * p.words;
+    for (std::size_t w = 0; w < p.words; ++w)
+      out[w] = ~(row[w] ^ p.pass_known[w]) & valid[w];
+  }
+  return p;
+}
+
+// Multi-baseline, per bit: rows are num_tests*rank bits; BaselineSetFn:
+// test -> {ids, count} of its (possibly ragged) baseline set.
+template <typename RowWordsFn, typename BaselineSetFn>
+PassFailRows multibaseline_rows(std::size_t num_faults, std::size_t num_tests,
+                                std::size_t rank, const RowWordsFn& row_words,
+                                const BaselineSetFn& baseline_set) {
+  PassFailRows p = empty_rows(num_faults, num_tests);
+  for (std::size_t t = 0; t < num_tests; ++t) {
+    const auto [ids, count] = baseline_set(t);
+    for (std::size_t l = 0; l < count; ++l)
+      if (ids[l] == 0) set_bit(p.pass_known.data(), t);
+  }
+  for (FaultId f = 0; f < num_faults; ++f) {
+    const std::uint64_t* row = row_words(f);
+    std::uint64_t* out = p.fail.data() + f * p.words;
+    for (std::size_t t = 0; t < num_tests; ++t) {
+      const auto [ids, count] = baseline_set(t);
+      for (std::size_t l = 0; l < count; ++l)
+        if (kernels::bit_at(row, t * rank + l) == (ids[l] == 0)) {
+          set_bit(out, t);  // differs from fault-free / matches a faulty one
+          break;
+        }
+    }
+  }
+  return p;
+}
+
+// Full and first-fail: RowIdsFn: FaultId -> const ResponseId* (num_tests
+// u32 lanes), 0 = pass.
+template <typename RowIdsFn>
+PassFailRows full_rows(std::size_t num_faults, std::size_t num_tests,
+                       const RowIdsFn& row_ids) {
+  PassFailRows p = empty_rows(num_faults, num_tests);
+  p.pass_known = BitVec(num_tests, true).words();
+  for (FaultId f = 0; f < num_faults; ++f) {
+    const ResponseId* ids = row_ids(f);
+    std::uint64_t* out = p.fail.data() + f * p.words;
+    for (std::size_t t = 0; t < num_tests; ++t)
+      if (ids[t] != 0) set_bit(out, t);
+  }
+  return p;
 }
 
 // --- Per-kind implementations, shared by the dictionary and the packed
@@ -382,46 +455,7 @@ EngineDiagnosis run_chain(const ObservationSummary& sum,
 // (store/kernels.h) instead of per-bit loops.
 
 // RowWordsFn: FaultId -> const uint64_t* (num_tests bits, BitVec layout,
-// zero tail).
-template <typename RowWordsFn>
-EngineDiagnosis diagnose_passfail_impl(std::size_t num_faults,
-                                       std::size_t num_tests,
-                                       const RowWordsFn& row_words,
-                                       const std::vector<Observed>& observed,
-                                       const EngineOptions& options,
-                                       const char* what) {
-  check_observation_size(what, num_tests, observed.size());
-  ObservationSummary sum;
-  sum.num_faults = num_faults;
-  PfProjection pf;
-  pf.obs = project_observation(observed, &sum);
-  pf.comparable_tests = sum.effective_tests;
-  pf.bit = [&row_words](FaultId f, std::size_t t) {
-    return kernels::bit_at(row_words(f), t) ? 1 : 0;
-  };
-
-  BitVec bits(num_tests);
-  BitVec care(num_tests);
-  for (std::size_t t = 0; t < observed.size(); ++t) {
-    if (observed[t].dont_care()) continue;
-    care.set(t, true);
-    bits.set(t, observed[t].value != 0);  // id 0 == fault-free == pass
-  }
-  const std::uint64_t* ow = bits.words().data();
-  const std::uint64_t* cw = care.words().data();
-  const std::size_t nw = bits.words().size();
-  // Hoisted: one dispatch() guard per query, not per row.
-  const kernels::KernelTable& kt = kernels::dispatch();
-  return run_chain(
-      sum,
-      [&](FaultId f, std::uint32_t limit) {
-        return kernels::masked_hamming_bounded(kt, row_words(f), ow, cw, nw,
-                                               limit);
-      },
-      pf, options);
-}
-
-// BaselineFn: test -> baseline response id.
+// zero tail); BaselineFn: test -> baseline response id.
 template <typename RowWordsFn, typename BaselineFn>
 EngineDiagnosis diagnose_samediff_impl(std::size_t num_faults,
                                        std::size_t num_tests,
@@ -431,29 +465,13 @@ EngineDiagnosis diagnose_samediff_impl(std::size_t num_faults,
                                        const EngineOptions& options,
                                        const char* what) {
   check_observation_size(what, num_tests, observed.size());
-  ObservationSummary sum;
-  sum.num_faults = num_faults;
-  PfProjection pf;
-  pf.obs = project_observation(observed, &sum);
-  pf.comparable_tests = sum.effective_tests;
-  pf.bit = [&row_words, &baseline](FaultId f, std::size_t t) {
-    // Baseline id 0 is the fault-free response: the bit IS the pass/fail
-    // bit. Against a non-fault-free baseline, bit 0 (matches the baseline)
-    // implies "differs from fault-free" — a fail — while bit 1 says
-    // nothing about pass/fail.
-    if (baseline(t) == 0) return kernels::bit_at(row_words(f), t) ? 1 : 0;
-    return kernels::bit_at(row_words(f), t) ? -1 : 1;
-  };
-
+  const ObservationSummary sum = summarize(num_faults, observed);
   BitVec bits(num_tests);
-  BitVec care(num_tests);
-  for (std::size_t t = 0; t < observed.size(); ++t) {
-    if (observed[t].dont_care()) continue;
-    care.set(t, true);
-    bits.set(t, observed[t].value != baseline(t));
-  }
+  for (std::size_t t = 0; t < observed.size(); ++t)
+    if (!observed[t].dont_care())
+      bits.set(t, observed[t].value != baseline(t));
   const std::uint64_t* ow = bits.words().data();
-  const std::uint64_t* cw = care.words().data();
+  const std::uint64_t* cw = sum.care.words().data();
   const std::size_t nw = bits.words().size();
   // Hoisted: one dispatch() guard per query, not per row.
   const kernels::KernelTable& kt = kernels::dispatch();
@@ -463,11 +481,12 @@ EngineDiagnosis diagnose_samediff_impl(std::size_t num_faults,
         return kernels::masked_hamming_bounded(kt, row_words(f), ow, cw, nw,
                                                limit);
       },
-      pf, options);
+      [&] { return samediff_rows(num_faults, num_tests, row_words, baseline); },
+      options);
 }
 
-// RowWordsFn rows are num_tests*rank bits; BaselineSetFn: test ->
-// {ids, count} of its (possibly ragged) baseline set.
+// RowWordsFn rows are num_tests*rank bits; BaselineSetFn as for
+// multibaseline_rows.
 template <typename RowWordsFn, typename BaselineSetFn>
 EngineDiagnosis diagnose_multibaseline_impl(
     std::size_t num_faults, std::size_t num_tests, std::size_t rank,
@@ -475,36 +494,7 @@ EngineDiagnosis diagnose_multibaseline_impl(
     const std::vector<Observed>& observed, const EngineOptions& options,
     const char* what) {
   check_observation_size(what, num_tests, observed.size());
-  ObservationSummary sum;
-  sum.num_faults = num_faults;
-
-  // Slot of the fault-free response among each test's baselines, -1 if
-  // absent (then a matched non-fault-free baseline still implies "fail").
-  std::vector<int> ff_slot(num_tests, -1);
-  for (std::size_t t = 0; t < num_tests; ++t) {
-    const auto [ids, count] = baseline_set(t);
-    for (std::size_t l = 0; l < count; ++l)
-      if (ids[l] == 0) ff_slot[t] = static_cast<int>(l);
-  }
-
-  PfProjection pf;
-  pf.obs = project_observation(observed, &sum);
-  pf.comparable_tests = sum.effective_tests;
-  pf.bit = [&row_words, &baseline_set, &ff_slot, rank](FaultId f,
-                                                       std::size_t t) {
-    const std::uint64_t* row = row_words(f);
-    if (ff_slot[t] >= 0)
-      return kernels::bit_at(row, t * rank + static_cast<std::size_t>(
-                                                 ff_slot[t]))
-                 ? 1
-                 : 0;
-    const auto [ids, count] = baseline_set(t);
-    (void)ids;
-    for (std::size_t l = 0; l < count; ++l)
-      if (!kernels::bit_at(row, t * rank + l)) return 1;
-    return -1;
-  };
-
+  const ObservationSummary sum = summarize(num_faults, observed);
   BitVec bits(num_tests * rank);
   BitVec care(num_tests * rank);
   for (std::size_t t = 0; t < observed.size(); ++t) {
@@ -527,7 +517,11 @@ EngineDiagnosis diagnose_multibaseline_impl(
         return kernels::masked_hamming_bounded(kt, row_words(f), ow, cw, nw,
                                                limit);
       },
-      pf, options);
+      [&] {
+        return multibaseline_rows(num_faults, num_tests, rank, row_words,
+                                  baseline_set);
+      },
+      options);
 }
 
 // RowIdsFn: FaultId -> const ResponseId* (num_tests u32 lanes).
@@ -539,15 +533,7 @@ EngineDiagnosis diagnose_full_impl(std::size_t num_faults,
                                    const EngineOptions& options,
                                    const char* what) {
   check_observation_size(what, num_tests, observed.size());
-  ObservationSummary sum;
-  sum.num_faults = num_faults;
-  PfProjection pf;
-  pf.obs = project_observation(observed, &sum);
-  pf.comparable_tests = sum.effective_tests;
-  pf.bit = [&row_ids](FaultId f, std::size_t t) {
-    return row_ids(f)[t] != 0 ? 1 : 0;
-  };
-
+  const ObservationSummary sum = summarize(num_faults, observed);
   // Dictionary entries are always modeled ids, so kUnknownResponse in the
   // observation lane mismatches every row — the kernel needs no special
   // case for it.
@@ -565,18 +551,43 @@ EngineDiagnosis diagnose_full_impl(std::size_t num_faults,
         return kernels::masked_symbol_mismatches_bounded(
             kt, row_ids(f), obs.data(), care.data(), num_tests, limit);
       },
-      pf, options);
+      [&] { return full_rows(num_faults, num_tests, row_ids); }, options);
 }
 
+// Baseline of every test of a pass/fail dictionary or store.
+constexpr auto fault_free_baseline = [](std::size_t) { return ResponseId{0}; };
+
 }  // namespace
+
+PassFailRows passfail_rows(const SignatureStore& store) {
+  const auto row = [&store](FaultId f) { return store.row_words(f); };
+  switch (store.kind()) {
+    case StoreKind::kPassFail:
+      return samediff_rows(store.num_faults(), store.num_tests(), row,
+                           fault_free_baseline);
+    case StoreKind::kSameDifferent:
+      return samediff_rows(
+          store.num_faults(), store.num_tests(), row,
+          [&store](std::size_t t) { return store.baselines()[t]; });
+    case StoreKind::kMultiBaseline:
+      return multibaseline_rows(
+          store.num_faults(), store.num_tests(), store.rank(), row,
+          [&store](std::size_t t) { return store.baseline_set(t); });
+    case StoreKind::kFull:
+      return full_rows(store.num_faults(), store.num_tests(),
+                       [&store](FaultId f) { return store.full_row(f); });
+  }
+  throw std::runtime_error("passfail_rows(store): bad store kind");
+}
 
 EngineDiagnosis diagnose_observed(const PassFailDictionary& dict,
                                   const std::vector<Observed>& observed,
                                   const EngineOptions& options) {
-  return diagnose_passfail_impl(
+  return diagnose_samediff_impl(
       dict.num_faults(), dict.num_tests(),
-      [&dict](FaultId f) { return dict.row(f).words().data(); }, observed,
-      options, "diagnose_observed(pass/fail): observed tests");
+      [&dict](FaultId f) { return dict.row(f).words().data(); },
+      fault_free_baseline, observed, options,
+      "diagnose_observed(pass/fail): observed tests");
 }
 
 EngineDiagnosis diagnose_observed(const SameDifferentDictionary& dict,
@@ -612,52 +623,23 @@ EngineDiagnosis diagnose_observed(const FirstFailDictionary& dict,
                          dict.num_tests(), observed.size());
   check_observation_size("diagnose_observed(first-fail): matrix tests",
                          dict.num_tests(), rm.num_tests());
-  ObservationSummary sum;
-  sum.num_faults = dict.num_faults();
-
-  // The matrix is available here, so the pass baseline is resolved through
-  // fault_free_id() per test instead of assuming it was interned at id 0.
-  std::vector<ResponseId> ff(dict.num_tests());
-  for (std::size_t t = 0; t < dict.num_tests(); ++t)
-    ff[t] = rm.fault_free_id(t);
-
-  PfProjection pf;
-  pf.obs = project_observation(observed, &sum, &ff);
-  pf.comparable_tests = sum.effective_tests;
-  pf.bit = [&dict](FaultId f, std::size_t t) {
-    return dict.entry(f, t) != 0 ? 1 : 0;
-  };
-
-  // Cared tests as (test, first-fail symbol) pairs; unknown or untranslat-
-  // able responses get symbol m+1, which no dictionary entry equals.
-  const auto unknown_sym = static_cast<std::uint32_t>(dict.num_outputs() + 1);
-  std::vector<std::pair<std::size_t, std::uint32_t>> cared;
-  cared.reserve(observed.size());
-  for (std::size_t t = 0; t < observed.size(); ++t) {
-    if (observed[t].dont_care()) continue;
-    const ResponseId v = observed[t].value;
-    std::uint32_t sym = 0;
-    if (v != ff[t]) {
-      sym = (v == kUnknownResponse || v >= rm.num_distinct(t))
-                ? unknown_sym
-                : 1 + rm.diff_outputs(t, v).front();
-    }
-    cared.emplace_back(t, sym);
+  // Response ids -> first-fail symbols (engine.h), then the full path.
+  const auto untranslatable = static_cast<ResponseId>(dict.num_outputs() + 1);
+  std::vector<Observed> symbols = observed;
+  for (std::size_t t = 0; t < symbols.size(); ++t) {
+    ResponseId& v = symbols[t].value;
+    if (symbols[t].dont_care() || v == kUnknownResponse) continue;
+    if (v == rm.fault_free_id(t))
+      v = 0;
+    else if (v >= rm.num_distinct(t))
+      v = untranslatable;
+    else
+      v = 1 + static_cast<ResponseId>(rm.diff_outputs(t, v).front());
   }
-  return run_chain(
-      sum,
-      [&](FaultId f, std::uint32_t limit) {
-        // Bounded by hand (no packed kernel for this dictionary): check the
-        // running count against the pruning bound every 64 entries.
-        std::uint32_t mism = 0;
-        std::size_t seen = 0;
-        for (const auto& [t, sym] : cared) {
-          mism += static_cast<std::uint32_t>(dict.entry(f, t) != sym);
-          if ((++seen & 63) == 0 && mism > limit) return mism;
-        }
-        return mism;
-      },
-      pf, options);
+  return diagnose_full_impl(
+      dict.num_faults(), dict.num_tests(),
+      [&dict](FaultId f) { return dict.row_entries(f); }, symbols, options,
+      "diagnose_observed(first-fail): observed tests");
 }
 
 EngineDiagnosis diagnose_observed(const FullDictionary& dict,
@@ -675,9 +657,9 @@ EngineDiagnosis diagnose_observed(const SignatureStore& store,
   const auto row = [&store](FaultId f) { return store.row_words(f); };
   switch (store.kind()) {
     case StoreKind::kPassFail:
-      return diagnose_passfail_impl(
-          store.num_faults(), store.num_tests(), row, observed, options,
-          "diagnose_observed(store): observed tests");
+      return diagnose_samediff_impl(
+          store.num_faults(), store.num_tests(), row, fault_free_baseline,
+          observed, options, "diagnose_observed(store): observed tests");
     case StoreKind::kSameDifferent:
       return diagnose_samediff_impl(
           store.num_faults(), store.num_tests(), row,

@@ -18,7 +18,10 @@
 //    Observations containing kUnknownResponse (a response no modeled fault
 //    produces) can never yield a "confident" exact/tolerant verdict; they
 //    fall through to the projection stages, where an unknown response still
-//    carries its one honest bit of information: the test failed.
+//    carries its one honest bit of information: the test failed. The
+//    projection stages (and the degraded-observation tiebreak) run on the
+//    packed PassFailRows below through the same kernels as the native
+//    stages; the rows are built per query, only when one of them runs.
 //  * Budget-aware: ranking loops poll a RunBudget and return the
 //    best-so-far prefix with completed == false on expiry, never throwing.
 //  * Top-k pruned ranking: the sweep maintains the k-th-best mismatch count
@@ -114,6 +117,37 @@ struct EngineDiagnosis {
   StopReason stop_reason = StopReason::kCompleted;
 };
 
+// Pass/fail projection of a dictionary's rows, packed (BitVec word layout,
+// `words` 64-bit words per row, zero tail). The same/different bit is
+// b = [z != z_bl], so the projection is word-parallel:
+//
+//   fail        per fault, the tests it definitely fails;
+//   pass_known  the tests where a 0 fail bit also proves a pass.
+//
+// Per kind: same/different gives fail = ~(row ^ ff), pass_known = ff, ff
+// marking the tests whose baseline is the fault-free id 0 (against a
+// faulty baseline, bit 0 means "fails" and bit 1 is not derivable);
+// pass/fail is that with every baseline 0. Multi-baseline fails a test
+// where the row differs from a fault-free slot or matches a faulty slot,
+// with pass_known = the tests whose set holds id 0. Full (and first-fail)
+// rows fail where the entry is non-zero, and every test is pass_known.
+//
+// For a cared observation with fail bits O over cared tests C, the
+// projected mismatch count of fault f is
+// popcount((fail(f) ^ O) & C & (~O | pass_known)): an observed pass
+// against a definite fail, or an observed fail against a proven pass.
+struct PassFailRows {
+  std::size_t words = 0;
+  std::vector<std::uint64_t> fail;        // num_faults x words
+  std::vector<std::uint64_t> pass_known;  // words
+  const std::uint64_t* row(FaultId f) const {
+    return fail.data() + static_cast<std::size_t>(f) * words;
+  }
+};
+
+class SignatureStore;
+PassFailRows passfail_rows(const SignatureStore& store);
+
 // One engine entry point per dictionary type. With tolerance 0, an
 // all-kValue observation and no budget, the ranking equals the
 // dictionary's own diagnose() (same order, same mismatch counts).
@@ -125,9 +159,7 @@ struct EngineDiagnosis {
 // functions rely on, and one every matrix from build_response_matrix or
 // response_matrix_from_table satisfies. A response_matrix_from_ids matrix
 // with a permuted fault-free id is not supported by these overloads (nor
-// by the builders; see sim/response.h). The first-fail overload, which is
-// handed the matrix, instead resolves the pass baseline per test through
-// rm.fault_free_id().
+// by the builders; see sim/response.h).
 EngineDiagnosis diagnose_observed(const PassFailDictionary& dict,
                                   const std::vector<Observed>& observed,
                                   const EngineOptions& options = {});
@@ -138,7 +170,12 @@ EngineDiagnosis diagnose_observed(const MultiBaselineDictionary& dict,
                                   const std::vector<Observed>& observed,
                                   const EngineOptions& options = {});
 // The first-fail dictionary needs the response matrix it was built from to
-// translate response ids into first-failing-output symbols.
+// translate response ids into first-failing-output symbols: the per-test
+// fault-free id (rm.fault_free_id(), so it need not be interned at id 0)
+// becomes 0, a faulty id 1 + its first failing output, an id the matrix
+// cannot translate m+1 (no entry equals it), and kUnknownResponse stays
+// as it is. The symbols are then ranked exactly like a full dictionary's
+// entries.
 EngineDiagnosis diagnose_observed(const FirstFailDictionary& dict,
                                   const ResponseMatrix& rm,
                                   const std::vector<Observed>& observed,
@@ -153,7 +190,6 @@ EngineDiagnosis diagnose_observed(const FullDictionary& dict,
 // dictionary overload of the same kind (the per-kind implementations are
 // shared; only the row accessor differs). A first-fail or detection-list
 // store has kind pass/fail and is diagnosed in that projection.
-class SignatureStore;
 EngineDiagnosis diagnose_observed(const SignatureStore& store,
                                   const std::vector<Observed>& observed,
                                   const EngineOptions& options = {});

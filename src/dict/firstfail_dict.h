@@ -35,6 +35,11 @@ class FirstFailDictionary {
   std::uint32_t entry(FaultId f, std::size_t t) const {
     return entries_[static_cast<std::size_t>(f) * num_tests_ + t];
   }
+  // Contiguous num_tests-wide row of a fault (the symbol-mismatch kernel's
+  // operand, like FullDictionary::row_entries).
+  const std::uint32_t* row_entries(FaultId f) const {
+    return entries_.data() + static_cast<std::size_t>(f) * num_tests_;
+  }
 
   std::uint64_t size_bits() const;
 

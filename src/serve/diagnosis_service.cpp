@@ -200,8 +200,12 @@ ServiceStats DiagnosisService::stats() const {
     s = stats_;
     std::uint64_t total = 0;
     for (std::size_t b = 0; b < 64; ++b) total += latency_buckets_[b];
-    s.p50_ms = percentile_from_buckets(latency_buckets_, total, 0.50);
-    s.p99_ms = percentile_from_buckets(latency_buckets_, total, 0.99);
+    // A bucket's upper bound can exceed every latency recorded in it; no
+    // percentile is larger than the largest sample.
+    s.p50_ms = std::min(
+        percentile_from_buckets(latency_buckets_, total, 0.50), s.max_ms);
+    s.p99_ms = std::min(
+        percentile_from_buckets(latency_buckets_, total, 0.99), s.max_ms);
   }
   // Gauges come from the queue lock, taken after the stats lock is
   // released — never both at once.

@@ -65,7 +65,7 @@ struct ServiceResponse {
 
 // Counter snapshot for the report layer. Latency percentiles come from a
 // 64-bucket log2 histogram (microsecond resolution), so p50/p99 are upper
-// bounds of their bucket, not exact order statistics.
+// bounds of their bucket, not exact order statistics, capped at max_ms.
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,136 +26,19 @@ std::uint32_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
 }  // namespace
 
 bool SessionEngine::detects(FaultId f, std::size_t t) const {
-  return kernels::bit_at(detect_.data() + f * words_, t);
-}
-
-void SessionEngine::build(
-    std::size_t num_faults, std::size_t num_tests,
-    const std::function<bool(FaultId, std::size_t)>& detect) {
-  num_faults_ = num_faults;
-  num_tests_ = num_tests;
-  words_ = BitVec::word_count(num_tests);
-  detect_.assign(num_faults * words_, 0);
-  ad_.assign(num_faults, 0);
-  for (FaultId f = 0; f < num_faults; ++f) {
-    std::uint64_t* row = detect_.data() + f * words_;
-    std::uint32_t ad = 0;
-    for (std::size_t t = 0; t < num_tests; ++t)
-      if (detect(f, t)) {
-        row[t >> 6] |= std::uint64_t{1} << (t & 63);
-        ++ad;
-      }
-    ad_[f] = ad;
-  }
+  return kernels::bit_at(detect_.row(f), t);
 }
 
 SessionEngine::SessionEngine(std::shared_ptr<const SignatureStore> store)
     : store_(std::move(store)) {
   if (!store_) throw std::invalid_argument("SessionEngine: null store");
-  const SignatureStore& s = *store_;
-  switch (s.kind()) {
-    case StoreKind::kPassFail:
-      build(s.num_faults(), s.num_tests(),
-            [&s](FaultId f, std::size_t t) { return s.row_bit(f, t); });
-      break;
-    case StoreKind::kSameDifferent:
-      // Bit semantics of the staged engine's projection: against the
-      // fault-free baseline the bit IS the fail bit; against a faulty
-      // baseline only bit 0 ("same as that faulty response") is a
-      // definite fail.
-      build(s.num_faults(), s.num_tests(), [&s](FaultId f, std::size_t t) {
-        return s.baselines()[t] == 0 ? s.row_bit(f, t) : !s.row_bit(f, t);
-      });
-      break;
-    case StoreKind::kMultiBaseline: {
-      const std::size_t rank = s.rank();
-      build(s.num_faults(), s.num_tests(),
-            [&s, rank](FaultId f, std::size_t t) {
-              const auto [ids, count] = s.baseline_set(t);
-              for (std::size_t l = 0; l < count; ++l) {
-                const bool differs = s.row_bit(f, t * rank + l);
-                if (ids[l] == 0) {
-                  if (differs) return true;  // differs from fault-free
-                } else if (!differs) {
-                  return true;  // matches a faulty baseline
-                }
-              }
-              return false;
-            });
-      break;
-    }
-    case StoreKind::kFull:
-      build(s.num_faults(), s.num_tests(),
-            [&s](FaultId f, std::size_t t) { return s.entry(f, t) != 0; });
-      break;
-  }
-  rank_ = [sp = store_](const std::vector<Observed>& obs,
-                        const EngineOptions& o) {
-    return diagnose_observed(*sp, obs, o);
-  };
-}
-
-SessionEngine::SessionEngine(const PassFailDictionary& dict) {
-  build(dict.num_faults(), dict.num_tests(),
-        [&dict](FaultId f, std::size_t t) { return dict.bit(f, t); });
-  rank_ = [&dict](const std::vector<Observed>& obs, const EngineOptions& o) {
-    return diagnose_observed(dict, obs, o);
-  };
-}
-
-SessionEngine::SessionEngine(const SameDifferentDictionary& dict) {
-  const auto& bl = dict.baselines();
-  build(dict.num_faults(), dict.num_tests(),
-        [&dict, &bl](FaultId f, std::size_t t) {
-          return bl[t] == 0 ? dict.bit(f, t) : !dict.bit(f, t);
-        });
-  rank_ = [&dict](const std::vector<Observed>& obs, const EngineOptions& o) {
-    return diagnose_observed(dict, obs, o);
-  };
-}
-
-SessionEngine::SessionEngine(const MultiBaselineDictionary& dict) {
-  const std::size_t rank = dict.baselines_per_test();
-  const auto& bl = dict.baselines();
-  build(dict.num_faults(), dict.num_tests(),
-        [&dict, &bl, rank](FaultId f, std::size_t t) {
-          for (std::size_t l = 0; l < bl[t].size(); ++l) {
-            const bool differs = dict.row(f).get(t * rank + l);
-            if (bl[t][l] == 0) {
-              if (differs) return true;
-            } else if (!differs) {
-              return true;
-            }
-          }
-          return false;
-        });
-  rank_ = [&dict](const std::vector<Observed>& obs, const EngineOptions& o) {
-    return diagnose_observed(dict, obs, o);
-  };
-}
-
-SessionEngine::SessionEngine(const FullDictionary& dict) {
-  build(dict.num_faults(), dict.num_tests(),
-        [&dict](FaultId f, std::size_t t) { return dict.entry(f, t) != 0; });
-  rank_ = [&dict](const std::vector<Observed>& obs, const EngineOptions& o) {
-    return diagnose_observed(dict, obs, o);
-  };
-}
-
-SessionEngine::SessionEngine(const FirstFailDictionary& dict,
-                             const ResponseMatrix& rm) {
-  build(dict.num_faults(), dict.num_tests(),
-        [&dict](FaultId f, std::size_t t) { return dict.entry(f, t) != 0; });
-  // This backend is the one whose fault-free response may be interned
-  // away from id 0; resolve the pass baseline per test like the engine's
-  // first-fail overload does.
-  ff_.resize(dict.num_tests());
-  for (std::size_t t = 0; t < dict.num_tests(); ++t)
-    ff_[t] = rm.fault_free_id(t);
-  rank_ = [&dict, &rm](const std::vector<Observed>& obs,
-                       const EngineOptions& o) {
-    return diagnose_observed(dict, rm, obs, o);
-  };
+  num_faults_ = store_->num_faults();
+  num_tests_ = store_->num_tests();
+  detect_ = passfail_rows(*store_);
+  ad_.assign(num_faults_, 0);
+  for (FaultId f = 0; f < num_faults_; ++f)
+    for (std::size_t w = 0; w < detect_.words; ++w)
+      ad_[f] += static_cast<std::uint32_t>(std::popcount(detect_.row(f)[w]));
 }
 
 SessionDiagnosis SessionEngine::diagnose(const SessionEvidence& ev,
@@ -166,26 +50,26 @@ SessionDiagnosis SessionEngine::diagnose(const SessionEvidence& ev,
         "session diagnose: evidence covers " + std::to_string(ev.num_tests) +
         " tests, dictionary has " + std::to_string(num_tests_));
 
+  const std::size_t words = detect_.words;
   SessionDiagnosis out;
   out.num_runs = ev.num_runs;
   const std::vector<Observed> consensus = ev.consensus();
   // Single-fault ranking through the existing staged chain. With one
   // clean run the consensus IS that run's observation vector, so this is
   // bit-identical to calling diagnose_observed() directly.
-  out.single = rank_(consensus, opt.engine);
+  out.single = diagnose_observed(*store_, consensus, opt.engine);
 
   BudgetScope scope(opt.budget);
 
   // Pass/fail view of the consensus: a concrete reading that differs
-  // from the fault-free response is a fail (kUnknownResponse included —
-  // its one honest bit), qualified tests are don't-cares.
+  // from the fault-free response (id 0) is a fail (kUnknownResponse
+  // included — its one honest bit), qualified tests are don't-cares.
   BitVec fail_mask(num_tests_);
   BitVec pass_mask(num_tests_);
   std::vector<std::size_t> failing;
   for (std::size_t t = 0; t < num_tests_; ++t) {
     if (consensus[t].dont_care()) continue;
-    const ResponseId ff = ff_.empty() ? 0 : ff_[t];
-    if (consensus[t].value != ff) {
+    if (consensus[t].value != 0) {
       fail_mask.set(t, true);
       failing.push_back(t);
     } else {
@@ -204,18 +88,18 @@ SessionDiagnosis SessionEngine::diagnose(const SessionEvidence& ev,
   // the greedy incumbent below run un-polled — they are the bounded floor
   // an anytime result always includes; only the exponential search polls.
   const kernels::KernelTable& kt = kernels::dispatch();
-  const std::vector<std::uint64_t> zeros(words_, 0);
+  const std::vector<std::uint64_t> zeros(words, 0);
   const std::uint64_t* fm = fail_mask.words().data();
   const std::uint64_t* pm = pass_mask.words().data();
   std::vector<std::uint32_t> relevant;       // faults covering >= 1 failure
   std::vector<std::uint32_t> conflicts_of;   // indexed like `relevant`
-  std::vector<std::uint64_t> detected(words_, 0);  // union of relevant rows
+  std::vector<std::uint64_t> detected(words, 0);  // union of relevant rows
   for (FaultId f = 0; f < num_faults_; ++f) {
-    const std::uint64_t* row = detect_.data() + f * words_;
-    if (kt.masked_hamming(row, zeros.data(), fm, words_) == 0) continue;
+    const std::uint64_t* row = detect_.row(f);
+    if (kt.masked_hamming(row, zeros.data(), fm, words) == 0) continue;
     relevant.push_back(static_cast<std::uint32_t>(f));
-    conflicts_of.push_back(kt.masked_hamming(row, zeros.data(), pm, words_));
-    for (std::size_t w = 0; w < words_; ++w) detected[w] |= row[w];
+    conflicts_of.push_back(kt.masked_hamming(row, zeros.data(), pm, words));
+    for (std::size_t w = 0; w < words; ++w) detected[w] |= row[w];
   }
 
   // Failing tests no modeled fault detects cannot constrain the cover;
@@ -240,8 +124,7 @@ SessionDiagnosis SessionEngine::diagnose(const SessionEvidence& ev,
   std::vector<std::uint64_t> cov(relevant.size() * fw, 0);
   std::vector<std::vector<std::uint32_t>> cand(nf);  // detectors per failure
   for (std::size_t r = 0; r < relevant.size(); ++r) {
-    const std::uint64_t* row =
-        detect_.data() + static_cast<std::size_t>(relevant[r]) * words_;
+    const std::uint64_t* row = detect_.row(relevant[r]);
     std::uint64_t* crow = cov.data() + r * fw;
     for (std::size_t i = 0; i < nf; ++i)
       if (kernels::bit_at(row, coverable[i])) {
@@ -384,7 +267,7 @@ SessionDiagnosis SessionEngine::diagnose(const SessionEvidence& ev,
   double weight_total = 0;
   for (std::size_t t = 0; t < num_tests_; ++t)
     if (!consensus[t].dont_care()) weight_total += ev.weight(t);
-  std::vector<std::uint64_t> joint(words_);
+  std::vector<std::uint64_t> joint(words);
   for (const std::vector<std::uint32_t>& sol : sols) {
     AmbiguityGroup g;
     std::fill(joint.begin(), joint.end(), 0);
@@ -392,11 +275,11 @@ SessionDiagnosis SessionEngine::diagnose(const SessionEvidence& ev,
       const FaultId f = relevant[r];
       g.faults.push_back(f);
       g.ad_sum += ad_[f];
-      const std::uint64_t* row = detect_.data() + f * words_;
-      for (std::size_t w = 0; w < words_; ++w) joint[w] |= row[w];
+      const std::uint64_t* row = detect_.row(f);
+      for (std::size_t w = 0; w < words; ++w) joint[w] |= row[w];
     }
     std::sort(g.faults.begin(), g.faults.end());
-    g.conflicts = popcount_and(joint.data(), pm, words_);
+    g.conflicts = popcount_and(joint.data(), pm, words);
     double consistent = 0;
     for (std::size_t t = 0; t < num_tests_; ++t) {
       if (consensus[t].dont_care()) continue;

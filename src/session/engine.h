@@ -26,16 +26,15 @@
 //     (weights = fraction of runs backing each consensus reading) the
 //     group's joint prediction gets right.
 //
-// Detection bits are the pass/fail projection the staged engine already
-// uses per dictionary kind: definite "this fault fails this test" bits
-// only, so a same/different row with a non-fault-free baseline
-// contributes its bit-0 ("matches the faulty baseline", hence fails)
-// positions and nothing speculative.
+// Detection bits are the fail rows of passfail_rows() (diag/engine.h),
+// the rows the staged engine's projection stages run on: definite "this
+// fault fails this test" bits only, so a same/different row with a
+// non-fault-free baseline contributes its bit-0 ("matches the faulty
+// baseline", hence fails) positions and nothing speculative.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -97,18 +96,13 @@ struct SessionDiagnosis {
   StopReason stop_reason = StopReason::kCompleted;
 };
 
-// Immutable per-backend state: packed detection rows + AD index + the
-// bound single-fault ranking entry point. Dictionary constructors borrow
-// their argument (caller keeps it alive); the store constructor shares
-// ownership, which is how the serving layer hot-swaps it.
+// Immutable per-backend state over a shared store (the serving layer
+// hot-swaps it by building a new engine): the store's pass/fail projection
+// (passfail_rows, the rows the staged engine's projection stages use) as
+// the detection rows, and their AD index.
 class SessionEngine {
  public:
   explicit SessionEngine(std::shared_ptr<const SignatureStore> store);
-  explicit SessionEngine(const PassFailDictionary& dict);
-  explicit SessionEngine(const SameDifferentDictionary& dict);
-  explicit SessionEngine(const MultiBaselineDictionary& dict);
-  explicit SessionEngine(const FullDictionary& dict);
-  SessionEngine(const FirstFailDictionary& dict, const ResponseMatrix& rm);
 
   std::size_t num_faults() const { return num_faults_; }
   std::size_t num_tests() const { return num_tests_; }
@@ -122,21 +116,11 @@ class SessionEngine {
                             const SessionOptions& options = {}) const;
 
  private:
-  using RankFn = std::function<EngineDiagnosis(const std::vector<Observed>&,
-                                               const EngineOptions&)>;
-
-  SessionEngine() = default;
-  void build(std::size_t num_faults, std::size_t num_tests,
-             const std::function<bool(FaultId, std::size_t)>& detect);
-
-  std::shared_ptr<const SignatureStore> store_;  // keep-alive (store ctor)
+  std::shared_ptr<const SignatureStore> store_;
   std::size_t num_faults_ = 0;
   std::size_t num_tests_ = 0;
-  std::size_t words_ = 0;                // 64-bit words per detection row
-  std::vector<std::uint64_t> detect_;    // num_faults_ x words_, zero tail
+  PassFailRows detect_;  // fail rows: num_faults_ x detect_.words
   std::vector<std::uint32_t> ad_;
-  std::vector<ResponseId> ff_;  // per-test fault-free id; empty = all id 0
-  RankFn rank_;
 };
 
 }  // namespace sddict

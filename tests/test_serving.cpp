@@ -14,7 +14,8 @@
 //    about;
 //  * shutdown drains everything, further submits throw, stats survive;
 //  * malformed observations resolve the future with the engine's
-//    std::invalid_argument instead of poisoning the service.
+//    std::invalid_argument instead of poisoning the service;
+//  * stats() latency percentiles never exceed the observed maximum.
 //
 // Registered under the "serving" ctest label; the tsan preset includes it.
 #include <gtest/gtest.h>
@@ -470,6 +471,23 @@ TEST(Serving, StatsTallyOutcomesAndFormat) {
   const std::string text = format_service_stats(s);
   EXPECT_NE(text.find("requests"), std::string::npos);
   EXPECT_NE(text.find("p99"), std::string::npos);
+}
+
+// The histogram reports a bucket's upper bound, which can lie above every
+// latency recorded in it; stats() must never report a percentile above
+// the observed maximum.
+TEST(Serving, PercentilesNeverExceedObservedMax) {
+  ServiceOptions o;
+  o.threads = 1;
+  o.cache = 0;
+  DiagnosisService service(SignatureStore::build(PassFailDictionary::build(rm())),
+                           o);
+  for (const auto& obs : observation_stream(12, 0xaaa)) service.diagnose(obs);
+  const ServiceStats s = service.stats();
+  ASSERT_EQ(s.requests, 12u);
+  EXPECT_GT(s.max_ms, 0.0);
+  EXPECT_LE(s.p50_ms, s.p99_ms);
+  EXPECT_LE(s.p99_ms, s.max_ms);
 }
 
 // ------------------------------------------------- latency percentiles --

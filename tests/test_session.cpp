@@ -3,8 +3,8 @@
 //  * evidence aggregation — single-run identity, majority vote, tie ->
 //    unstable, length-mismatch rejection;
 //  * the identity gate — a clean single-run session's single-fault part is
-//    bit-identical to diagnose_observed(), store-backed and
-//    dictionary-backed;
+//    bit-identical to diagnose_observed() on its store and on the
+//    dictionary the store was built from;
 //  * the minimality proof — branch-and-bound covers checked against a
 //    brute-force enumeration oracle on hand-built dictionaries (tie
 //    cardinalities enumerated exhaustively) and on a synthesized
@@ -104,6 +104,11 @@ std::shared_ptr<const SignatureStore> shared_store() {
   static const std::shared_ptr<const SignatureStore> s =
       std::make_shared<const SignatureStore>(SignatureStore::build(full_dict()));
   return s;
+}
+
+template <typename Dict>
+std::shared_ptr<const SignatureStore> store_of(const Dict& d) {
+  return std::make_shared<const SignatureStore>(SignatureStore::build(d));
 }
 
 std::vector<ResponseId> fault_response(FaultId f) {
@@ -306,7 +311,7 @@ TEST(SessionEngineGate, SingleRunCleanMatchesDiagnoseObservedStore) {
 }
 
 TEST(SessionEngineGate, SingleRunCleanMatchesDiagnoseObservedDict) {
-  const SessionEngine eng(sd());
+  const SessionEngine eng(store_of(sd()));
   Rng rng(0x22);
   for (int i = 0; i < 8; ++i) {
     const auto f = static_cast<FaultId>(rng.below(rm().num_faults()));
@@ -369,7 +374,7 @@ TEST(SessionCovers, EnumeratesAllTieCardinalityCovers) {
   // {2,3}), plus singles that cannot finish the job.
   const PassFailDictionary dict =
       pf_from_sets({{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0}, {3}}, 4);
-  const SessionEngine eng(dict);
+  const SessionEngine eng(store_of(dict));
   const std::vector<Observed> obs(4, Observed::of(1));  // everything fails
   const SessionDiagnosis d = eng.diagnose(aggregate_runs({run_of(obs)}));
   ASSERT_TRUE(d.cover_minimal);
@@ -401,7 +406,7 @@ TEST(SessionCovers, RandomDictionariesMatchOracle) {
       for (std::size_t t = 0; t < num_tests; ++t)
         if (rng.below(100) < 30) s.push_back(t);
     const PassFailDictionary dict = pf_from_sets(sets, num_tests);
-    const SessionEngine eng(dict);
+    const SessionEngine eng(store_of(dict));
     std::vector<Observed> obs(num_tests, Observed::of(0));
     for (auto& o : obs)
       if (rng.below(100) < 50) o = Observed::of(1);
@@ -432,7 +437,7 @@ TEST(SessionCovers, RandomDictionariesMatchOracle) {
 TEST(SessionCovers, CancelledBudgetReturnsGreedyIncumbent) {
   const PassFailDictionary dict =
       pf_from_sets({{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0}, {3}}, 4);
-  const SessionEngine eng(dict);
+  const SessionEngine eng(store_of(dict));
   const std::vector<Observed> obs(4, Observed::of(1));
   SessionOptions opt;
   opt.budget.cancel.cancel();  // tripped before the search starts
@@ -450,7 +455,7 @@ TEST(SessionCovers, CancelledBudgetReturnsGreedyIncumbent) {
 TEST(SessionCovers, MaxCoverTooSmallDegradesToGreedyPrefix) {
   const PassFailDictionary dict =
       pf_from_sets({{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0}, {3}}, 4);
-  const SessionEngine eng(dict);
+  const SessionEngine eng(store_of(dict));
   const std::vector<Observed> obs(4, Observed::of(1));
   SessionOptions opt;
   opt.max_cover = 1;  // no single fault covers all four failures

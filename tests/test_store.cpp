@@ -6,6 +6,8 @@
 //    and detection-list dictionaries — to_bytes/from_bytes, write_file/
 //    load_file, dictionary reconstruction, and diagnose equivalence of the
 //    store path against the dictionary path;
+//  * the packed pass/fail projection (passfail_rows) and the engine's
+//    projection stages against the per-bit tri-state rule;
 //  * mmap vs. stream loads are byte- and behavior-identical;
 //  * word-parallel kernels against their per-bit reference loops on random
 //    operands;
@@ -534,6 +536,222 @@ TEST(SignatureStore, ShardedRankingMatchesSequential) {
                           diagnose_observed(s, obs, sequential),
                           "sharded unpruned vs sequential pruned");
   }
+}
+
+// ------------------------------------------------ pass/fail projection --
+
+// Ragged rank-2 baseline sets mixing every shape the projection must
+// handle: fault-free only, faulty only, two faulty, fault-free in slot 1,
+// and empty.
+std::vector<std::vector<ResponseId>> mixed_baselines(const ResponseMatrix& m) {
+  std::vector<std::vector<ResponseId>> bl(m.num_tests());
+  for (std::size_t t = 0; t < m.num_tests(); ++t) {
+    const std::size_t n = m.num_distinct(t);
+    switch (t % 5) {
+      case 0: bl[t] = {0}; break;
+      case 1: if (n > 1) bl[t] = {1}; break;
+      case 2: if (n > 2) bl[t] = {2, 1}; else bl[t] = {0}; break;
+      case 3: if (n > 1) bl[t] = {1, 0}; break;
+      default: break;  // empty set
+    }
+  }
+  return bl;
+}
+
+// The per-bit tri-state rule the packed projection replaces: 1 = the
+// fault definitely fails test t, 0 = it definitely passes, -1 = not
+// derivable from the row.
+int reference_projection(const SignatureStore& s, FaultId f, std::size_t t) {
+  switch (s.kind()) {
+    case StoreKind::kPassFail:
+      return s.row_bit(f, t) ? 1 : 0;
+    case StoreKind::kSameDifferent:
+      if (s.baselines()[t] == 0) return s.row_bit(f, t) ? 1 : 0;
+      return s.row_bit(f, t) ? -1 : 1;
+    case StoreKind::kMultiBaseline: {
+      const auto [ids, count] = s.baseline_set(t);
+      for (std::size_t l = 0; l < count; ++l)
+        if (ids[l] == 0) return s.row_bit(f, t * s.rank() + l) ? 1 : 0;
+      for (std::size_t l = 0; l < count; ++l)
+        if (!s.row_bit(f, t * s.rank() + l)) return 1;
+      return -1;
+    }
+    case StoreKind::kFull:
+      return s.entry(f, t) != 0 ? 1 : 0;
+  }
+  return -1;
+}
+
+// Reference projected mismatch count: cared tests where the tri-state bit
+// is derivable and disagrees with the observed pass/fail bit.
+std::uint32_t reference_projected_count(const SignatureStore& s, FaultId f,
+                                        const std::vector<Observed>& obs) {
+  std::uint32_t n = 0;
+  for (std::size_t t = 0; t < obs.size(); ++t) {
+    if (obs[t].dont_care()) continue;
+    const int b = reference_projection(s, f, t);
+    if (b >= 0 && b != (obs[t].value != 0 ? 1 : 0)) ++n;
+  }
+  return n;
+}
+
+// Recounting greedy cover of the observed fails over the reference fail
+// bits: per pick, highest count of still-uncovered fails, lowest id.
+std::vector<FaultId> reference_cover(const SignatureStore& s,
+                                     const std::vector<Observed>& obs,
+                                     std::size_t max_cover,
+                                     std::size_t* uncovered) {
+  std::vector<std::size_t> failing;
+  for (std::size_t t = 0; t < obs.size(); ++t)
+    if (!obs[t].dont_care() && obs[t].value != 0) failing.push_back(t);
+  std::vector<bool> covered(failing.size(), false);
+  *uncovered = failing.size();
+  std::vector<FaultId> cover;
+  while (*uncovered > 0 && cover.size() < max_cover) {
+    FaultId best = kNoFault;
+    std::size_t best_gain = 0;
+    for (FaultId f = 0; f < s.num_faults(); ++f) {
+      std::size_t gain = 0;
+      for (std::size_t i = 0; i < failing.size(); ++i)
+        if (!covered[i] && reference_projection(s, f, failing[i]) == 1) ++gain;
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = f;
+      }
+    }
+    if (best_gain == 0) break;
+    cover.push_back(best);
+    for (std::size_t i = 0; i < failing.size(); ++i)
+      if (!covered[i] && reference_projection(s, best, failing[i]) == 1) {
+        covered[i] = true;
+        --*uncovered;
+      }
+  }
+  return cover;
+}
+
+// passfail_rows against the tri-state rule, bit by bit, for all four store
+// kinds over a test count that is not a multiple of 64.
+TEST(PassFailProjection, PackedRowsMatchPerBitRule) {
+  ASSERT_NE(rm().num_tests() % 64, 0u);
+  const FullDictionary full = FullDictionary::build(rm());
+  const SignatureStore stores[] = {
+      SignatureStore::build(PassFailDictionary::build(rm())),
+      SignatureStore::build(
+          SameDifferentDictionary::build(rm(), nontrivial_baselines(rm()))),
+      SignatureStore::build(
+          MultiBaselineDictionary::build(rm(), mixed_baselines(rm()))),
+      SignatureStore::build(full)};
+  for (const SignatureStore& s : stores) {
+    const PassFailRows p = passfail_rows(s);
+    const char* kind = store_kind_name(s.kind());
+    ASSERT_EQ(p.words, (s.num_tests() + 63) / 64) << kind;
+    ASSERT_EQ(p.fail.size(), s.num_faults() * p.words) << kind;
+    ASSERT_EQ(p.pass_known.size(), p.words) << kind;
+    std::size_t undecided = 0;
+    for (FaultId f = 0; f < s.num_faults(); ++f) {
+      for (std::size_t t = 0; t < s.num_tests(); ++t) {
+        const int want = reference_projection(s, f, t);
+        const int got = kernels::bit_at(p.row(f), t) ? 1
+                        : kernels::bit_at(p.pass_known.data(), t) ? 0
+                                                                  : -1;
+        ASSERT_EQ(got, want) << kind << " fault " << f << " test " << t;
+        if (want < 0) ++undecided;
+      }
+      for (std::size_t i = s.num_tests(); i < p.words * 64; ++i)
+        ASSERT_FALSE(kernels::bit_at(p.row(f), i)) << kind << " tail " << f;
+    }
+    for (std::size_t i = s.num_tests(); i < p.words * 64; ++i)
+      ASSERT_FALSE(kernels::bit_at(p.pass_known.data(), i)) << kind;
+    if (s.kind() == StoreKind::kSameDifferent ||
+        s.kind() == StoreKind::kMultiBaseline) {
+      EXPECT_GT(undecided, 0u) << kind << ": fixture never exercises -1";
+    }
+  }
+}
+
+// On degraded observations the projection stages' counts and the stage-4
+// cover must equal the per-bit reference, for every dictionary overload
+// (pass/fail, same/different, multi-baseline, full, first-fail) and the
+// store built from it, pruned and unpruned.
+TEST(PassFailProjection, EngineStagesMatchPerBitReference) {
+  const FullDictionary full = FullDictionary::build(rm());
+  const PassFailDictionary pf = PassFailDictionary::build(rm());
+  const SameDifferentDictionary sd =
+      SameDifferentDictionary::build(rm(), nontrivial_baselines(rm()));
+  const MultiBaselineDictionary mb =
+      MultiBaselineDictionary::build(rm(), mixed_baselines(rm()));
+  const FirstFailDictionary ff = FirstFailDictionary::build(rm());
+  // The first-fail store is the first-fail dictionary's projection, so it
+  // is also the reference for the first-fail overload.
+  const SignatureStore spf = SignatureStore::build(pf);
+  const SignatureStore ssd = SignatureStore::build(sd);
+  const SignatureStore smb = SignatureStore::build(mb);
+  const SignatureStore sfull = SignatureStore::build(full);
+  const SignatureStore sff = SignatureStore::build(ff);
+
+  std::size_t projected = 0;
+  std::size_t unmodeled = 0;
+  Rng rng(0x9f);
+  for (int i = 0; i < 24; ++i) {
+    std::vector<Observed> obs =
+        fault_observation(full, static_cast<FaultId>(rng.below(full.num_faults())));
+    // Composites of two or three faults push the chain down to stage 4.
+    for (int extra = i % 3; extra > 0; --extra) {
+      const auto g = static_cast<FaultId>(rng.below(full.num_faults()));
+      for (std::size_t t = 0; t < obs.size(); ++t)
+        if (obs[t].value == 0) obs[t] = Observed::of(full.entry(g, t));
+    }
+    for (int d = 0; d < 3; ++d) {
+      obs[rng.below(obs.size())] = Observed::missing();
+      obs[rng.below(obs.size())] = Observed::unstable();
+    }
+    obs[rng.below(obs.size())] = Observed::of(kUnknownResponse);
+    if (i % 4 == 0) obs[rng.below(obs.size())] = Observed::of(kUnknownResponse);
+
+    for (const bool prune : {true, false}) {
+      EngineOptions opt;
+      opt.max_results = 5;
+      opt.prune = prune;
+      const struct {
+        const char* what;
+        EngineDiagnosis d;
+        const SignatureStore& ref;
+      } runs[] = {
+          {"pass/fail", diagnose_observed(pf, obs, opt), spf},
+          {"pass/fail store", diagnose_observed(spf, obs, opt), spf},
+          {"same/different", diagnose_observed(sd, obs, opt), ssd},
+          {"same/different store", diagnose_observed(ssd, obs, opt), ssd},
+          {"multi-baseline", diagnose_observed(mb, obs, opt), smb},
+          {"multi-baseline store", diagnose_observed(smb, obs, opt), smb},
+          {"full", diagnose_observed(full, obs, opt), sfull},
+          {"full store", diagnose_observed(sfull, obs, opt), sfull},
+          {"first-fail", diagnose_observed(ff, rm(), obs, opt), sff},
+      };
+      for (const auto& r : runs) {
+        // An unknown response never yields a native verdict.
+        ASSERT_GE(r.d.outcome, DiagnosisOutcome::kPassFailProjection)
+            << r.what << " obs " << i;
+        ASSERT_FALSE(r.d.matches.empty()) << r.what;
+        for (const DiagnosisMatch& m : r.d.matches)
+          ASSERT_EQ(m.mismatches,
+                    reference_projected_count(r.ref, m.fault, obs))
+              << r.what << " obs " << i << " fault " << m.fault;
+        if (r.d.outcome == DiagnosisOutcome::kPassFailProjection) {
+          ++projected;
+          continue;
+        }
+        ++unmodeled;
+        std::size_t uncovered = 0;
+        EXPECT_EQ(r.d.cover,
+                  reference_cover(r.ref, obs, opt.max_cover, &uncovered))
+            << r.what << " obs " << i;
+        EXPECT_EQ(r.d.uncovered_failures, uncovered) << r.what << " obs " << i;
+      }
+    }
+  }
+  EXPECT_GT(projected, 0u);
+  EXPECT_GT(unmodeled, 0u);
 }
 
 // ------------------------------------------------------------ file modes --
