@@ -1,14 +1,14 @@
 // Dictionary explorer: run the whole pipeline on any registered benchmark
 // or external .bench file, print the resulting dictionary statistics, and
-// optionally save the same/different dictionary to disk.
+// optionally export or publish the same/different dictionary as a packed
+// store.
 //
 //   $ ./dictionary_explorer s344
-//   $ ./dictionary_explorer path/to/circuit.bench --ttype=10det --save=dict.txt
+//   $ ./dictionary_explorer circuit.bench --ttype=10det --export-store=c.store
 //   $ ./dictionary_explorer s298 --ttype=diag --calls1=20 --hybrid=true
 //   $ ./dictionary_explorer s1423 --deadline=2.5   # anytime: best-so-far
 #include <cstdio>
 #include <exception>
-#include <fstream>
 
 #include "bmcirc/registry.h"
 #include "compact/compact.h"
@@ -18,7 +18,6 @@
 #include "dict/full_dict.h"
 #include "dict/passfail_dict.h"
 #include "dict/samediff_dict.h"
-#include "dict/serialize.h"
 #include "fault/collapse.h"
 #include "netlist/bench_io.h"
 #include "netlist/stats.h"
@@ -42,7 +41,7 @@ int usage() {
                "usage: dictionary_explorer <benchmark-or-bench-file>\n"
                "  [--ttype=diag|10det] [--calls1=N] [--lower=N] [--seed=N]\n"
                "  [--threads=N] [--deadline=SECONDS] [--hybrid=true]\n"
-               "  [--save=FILE] [--export-store=FILE [--force]]\n"
+               "  [--export-store=FILE [--force]]\n"
                "  [--publish=REPODIR [--append=N]]\n"
                "  [--compact[=lossless|lossy:EPS]]\n\n"
                "registered benchmarks:");
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const auto unknown = args.unknown_flags(
       {"ttype", "calls1", "lower", "seed", "threads", "deadline", "hybrid",
-       "save", "export-store", "force", "publish", "compact", "append"});
+       "export-store", "force", "publish", "compact", "append"});
   if (!unknown.empty()) {
     for (const auto& f : unknown)
       std::fprintf(stderr, "unknown flag --%s\n", f.c_str());
@@ -212,18 +211,6 @@ int main(int argc, char** argv) {
                 "s/d hybrid", (unsigned long long)hyb.size_bits,
                 (unsigned long long)hyb.indistinguished_pairs,
                 hyb.stored_baselines, tests.size());
-  }
-
-  const std::string save = args.get("save");
-  if (!save.empty()) {
-    std::ofstream out(save);
-    try {
-      write_dictionary(sd, out);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to write %s: %s\n", save.c_str(), e.what());
-      return 1;
-    }
-    std::printf("same/different dictionary written to %s\n", save.c_str());
   }
 
   // Dictionary-aware test-set compaction (src/compact): drop store columns

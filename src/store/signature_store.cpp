@@ -563,7 +563,7 @@ std::string SignatureStore::to_bytes() const {
 
 SignatureStore SignatureStore::from_bytes(const std::string& bytes) {
   std::vector<std::uint64_t> image((bytes.size() + 7) / 8, 0);
-  std::memcpy(image.data(), bytes.data(), bytes.size());
+  if (!bytes.empty()) std::memcpy(image.data(), bytes.data(), bytes.size());
   SignatureStore s;
   s.owned_ = std::move(image);
   s.base_ = reinterpret_cast<const std::byte*>(s.owned_.data());

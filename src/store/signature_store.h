@@ -102,9 +102,10 @@ class SignatureStore {
   static SignatureStore build(const DetectionListDictionary& d,
                               std::size_t num_outputs);
 
-  // I/O. write() throws on a failed stream (torn-file discipline of
-  // dict/serialize.h); write_file() re-checks the stream after the final
-  // flush. Loaders validate everything before the first accessor can run.
+  // I/O. write() throws on a failed stream so a torn write is never
+  // mistaken for a finished file; write_file() re-checks the stream after
+  // the final flush. Loaders validate everything before the first accessor
+  // can run.
   void write(std::ostream& out) const;
   void write_file(const std::string& path) const;
   static SignatureStore load(std::istream& in);

@@ -6,7 +6,7 @@
 //    for later tests;
 //  * stream failures through custom streambufs — FailAfterWriteBuf makes an
 //    ostream fail mid-write, ThrowAfterReadBuf makes an istream go bad
-//    mid-read — exercising the serialization layer's torn-file handling;
+//    mid-read — exercising the signature store's torn-file handling;
 //  * byte-level corruption via flip_byte, the primitive of the
 //    deterministic mutation fuzzer in test_robustness.cpp;
 //  * observation noise via apply_noise, a seeded per-test channel that

@@ -6,6 +6,9 @@
 //    pair count, lossless pair preservation with the exact verification
 //    pass, the lossy bound, anytime budget semantics, and the
 //    never-drop-the-last-column guard;
+//  * reverse-order minimisation: kept tests ascending, duplicated tests
+//    dropped, and re-simulating only the kept tests keeps the
+//    full-response and the Procedure-1 same/different resolution;
 //  * column surgery identities: select_tests()/concat_tests() route
 //    through the same image builder as build(), so splitting a store and
 //    concatenating the halves reproduces the original bytes exactly — for
@@ -32,10 +35,13 @@
 #include <thread>
 #include <vector>
 
+#include "bmcirc/embedded.h"
+#include "bmcirc/registry.h"
 #include "bmcirc/synth.h"
 #include "compact/compact.h"
 #include "compact/plan.h"
 #include "compact/repo_compact.h"
+#include "core/baseline.h"
 #include "diag/engine.h"
 #include "dict/firstfail_dict.h"
 #include "dict/full_dict.h"
@@ -44,6 +50,7 @@
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
 #include "faultinject.h"
+#include "netlist/transform.h"
 #include "repo/repository.h"
 #include "serve/diagnosis_service.h"
 #include "sim/response.h"
@@ -432,6 +439,114 @@ TEST(TestsetCompaction, KeptTestsPreserveFullResponseResolution) {
 TEST(TestsetCompaction, ProjectObservationsChecksBounds) {
   const std::vector<Observed> obs = qualify(fault_response(0));
   EXPECT_THROW(project_observations(obs, {obs.size()}), std::invalid_argument);
+}
+
+// ----------------------------------------------- reverse-order minimisation --
+//
+// Test-set minimisation in reverse order: the planner with
+// CandidateOrder::kReverse over random tests of c17 and s298.
+
+struct RandomTests {
+  Netlist nl;
+  FaultList faults;
+  TestSet tests{0};
+  ResponseMatrix rm;
+  RandomTests(std::size_t k, std::uint64_t seed, const char* name = "c17") {
+    nl = std::string(name) == "c17" ? make_c17()
+                                    : full_scan(load_benchmark(name));
+    faults = collapsed_fault_list(nl).collapsed;
+    tests = TestSet(nl.num_inputs());
+    Rng rng(seed);
+    tests.add_random(k, rng);
+    rm = build_response_matrix(nl, faults, tests);
+  }
+  TestSet doubled() const {
+    TestSet out(nl.num_inputs());
+    out.append(tests);
+    out.append(tests);
+    return out;
+  }
+};
+
+const CompactionOptions kReverseOrder{.order = CandidateOrder::kReverse};
+
+TEST(MinimizeFull, PreservesFullResolutionExactly) {
+  const RandomTests fx(60, 3);
+  const auto before = FullDictionary::build(fx.rm).indistinguished_pairs();
+  const TestsetCompaction tc = compact_testset(fx.rm, fx.tests, kReverseOrder);
+  EXPECT_EQ(tc.plan.pairs_after, before);
+  EXPECT_EQ(tc.plan.kept.size() + tc.plan.dropped.size(), fx.tests.size());
+
+  const ResponseMatrix rm2 =
+      build_response_matrix(fx.nl, fx.faults, fx.tests.subset(tc.plan.kept));
+  EXPECT_EQ(FullDictionary::build(rm2).indistinguished_pairs(), before);
+}
+
+TEST(MinimizeFull, DropsRedundantDuplicatesAggressively) {
+  // A test set with every test twice must lose at least half.
+  const RandomTests fx(20, 5);
+  const TestSet doubled = fx.doubled();
+  const TestsetCompaction tc = compact_testset(
+      build_response_matrix(fx.nl, fx.faults, doubled), doubled, kReverseOrder);
+  EXPECT_LE(tc.plan.kept.size(), fx.tests.size());
+}
+
+TEST(MinimizeFull, KeptIndicesAscendingAndValid) {
+  const RandomTests fx(40, 7);
+  const std::vector<std::size_t> kept =
+      compact_testset(fx.rm, fx.tests, kReverseOrder).plan.kept;
+  for (std::size_t i = 1; i < kept.size(); ++i) EXPECT_LT(kept[i - 1], kept[i]);
+  for (const std::size_t t : kept) EXPECT_LT(t, fx.tests.size());
+}
+
+TEST(MinimizeSameDiff, PreservesDictionaryResolution) {
+  const RandomTests fx(60, 9);
+  BaselineSelectionConfig cfg;
+  cfg.calls1 = 3;
+  const BaselineSelection p1 = run_procedure1(fx.rm, cfg);
+  const CompactionPlan plan = plan_store_compaction(
+      SignatureStore::build(SameDifferentDictionary::build(fx.rm, p1.baselines)),
+      kReverseOrder);
+  EXPECT_EQ(plan.pairs_after, p1.indistinguished_pairs);
+
+  // Rebuild the dictionary over the kept tests only. Response ids are
+  // interned per matrix, so baselines translate through their signatures.
+  const ResponseMatrix rm2 =
+      build_response_matrix(fx.nl, fx.faults, fx.tests.subset(plan.kept));
+  std::vector<ResponseId> kept_baselines(plan.kept.size(), 0);
+  for (std::size_t i = 0; i < plan.kept.size(); ++i) {
+    const ResponseId b = p1.baselines[plan.kept[i]];
+    if (b == 0) continue;
+    kept_baselines[i] = rm2.find_response(i, fx.rm.signature(plan.kept[i], b));
+    ASSERT_NE(kept_baselines[i], static_cast<ResponseId>(-1));
+  }
+  EXPECT_EQ(SameDifferentDictionary::build(rm2, kept_baselines)
+                .indistinguished_pairs(),
+            p1.indistinguished_pairs);
+}
+
+TEST(MinimizeSameDiff, AllPassColumnsAlwaysDropped) {
+  // Under fault-free baselines a duplicated column distinguishes nothing
+  // its twin does not, so every test twice loses at least half.
+  const RandomTests fx(15, 11);
+  const ResponseMatrix rm =
+      build_response_matrix(fx.nl, fx.faults, fx.doubled());
+  const std::vector<ResponseId> baselines(rm.num_tests(), 0);
+  const CompactionPlan plan = plan_store_compaction(
+      SignatureStore::build(SameDifferentDictionary::build(rm, baselines)),
+      kReverseOrder);
+  EXPECT_LE(plan.kept.size(), fx.tests.size());
+  EXPECT_EQ(plan.pairs_after, plan.pairs_before);
+}
+
+TEST(Minimize, RealisticShrinkOnBenchmark) {
+  const RandomTests fx(200, 15, "s298");
+  const TestsetCompaction tc = compact_testset(fx.rm, fx.tests, kReverseOrder);
+  // 200 random tests on s298 carry substantial redundancy.
+  EXPECT_LT(tc.plan.kept.size(), fx.tests.size());
+  EXPECT_FALSE(tc.plan.dropped.empty());
+  EXPECT_EQ(tc.plan.pairs_after,
+            FullDictionary::build(fx.rm).indistinguished_pairs());
 }
 
 // -------------------------------------------------------- delta repository --

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
-#include <sstream>
 
 #include "bmcirc/embedded.h"
 #include "dict/full_dict.h"
 #include "dict/partition.h"
 #include "dict/passfail_dict.h"
 #include "dict/samediff_dict.h"
-#include "dict/serialize.h"
 #include "fault/collapse.h"
 #include "sim/logicsim.h"
 
@@ -454,152 +452,6 @@ TEST(Dictionaries, PartitionMatchesBruteForceRowComparison) {
     for (FaultId b = a + 1; b < fx.faults.size(); ++b)
       if (pf.row(a) == pf.row(b)) ++brute;
   EXPECT_EQ(pf.indistinguished_pairs(), brute);
-}
-
-// ------------------------------------------------------------ serialize --
-
-TEST(Serialize, PassFailRoundTrip) {
-  C17Fixture fx;
-  const auto pf = PassFailDictionary::build(fx.rm);
-  std::stringstream ss;
-  write_dictionary(pf, ss);
-  const auto again = read_passfail_dictionary(ss);
-  EXPECT_EQ(again.num_faults(), pf.num_faults());
-  EXPECT_EQ(again.num_tests(), pf.num_tests());
-  EXPECT_EQ(again.size_bits(), pf.size_bits());
-  EXPECT_EQ(again.indistinguished_pairs(), pf.indistinguished_pairs());
-  for (FaultId f = 0; f < pf.num_faults(); ++f)
-    EXPECT_EQ(again.row(f), pf.row(f));
-}
-
-TEST(Serialize, SameDiffRoundTrip) {
-  C17Fixture fx;
-  std::vector<ResponseId> baselines(fx.tests.size());
-  for (std::size_t t = 0; t < fx.tests.size(); ++t)
-    baselines[t] = fx.rm.num_distinct(t) - 1;
-  const auto sd = SameDifferentDictionary::build(fx.rm, baselines);
-  std::stringstream ss;
-  write_dictionary(sd, ss);
-  const auto again = read_samediff_dictionary(ss);
-  EXPECT_EQ(again.baselines(), sd.baselines());
-  EXPECT_EQ(again.indistinguished_pairs(), sd.indistinguished_pairs());
-  for (FaultId f = 0; f < sd.num_faults(); ++f)
-    EXPECT_EQ(again.row(f), sd.row(f));
-}
-
-TEST(Serialize, FullRoundTrip) {
-  C17Fixture fx;
-  const auto full = FullDictionary::build(fx.rm);
-  std::stringstream ss;
-  write_dictionary(full, ss);
-  const auto again = read_full_dictionary(ss);
-  EXPECT_EQ(again.num_outputs(), full.num_outputs());
-  EXPECT_EQ(again.indistinguished_pairs(), full.indistinguished_pairs());
-  for (FaultId f = 0; f < full.num_faults(); ++f)
-    for (std::size_t t = 0; t < full.num_tests(); ++t)
-      EXPECT_EQ(again.entry(f, t), full.entry(f, t));
-}
-
-std::string to_crlf(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '\n') out += '\r';
-    out += c;
-  }
-  return out;
-}
-
-TEST(Serialize, PassFailCrlfRoundTrip) {
-  // Files round-tripped through Windows tooling carry \r\n endings; the
-  // reader must strip the \r instead of failing the row-width check.
-  C17Fixture fx;
-  const auto pf = PassFailDictionary::build(fx.rm);
-  std::stringstream ss;
-  write_dictionary(pf, ss);
-  std::stringstream crlf(to_crlf(ss.str()));
-  const auto again = read_passfail_dictionary(crlf);
-  EXPECT_EQ(again.indistinguished_pairs(), pf.indistinguished_pairs());
-  for (FaultId f = 0; f < pf.num_faults(); ++f)
-    EXPECT_EQ(again.row(f), pf.row(f));
-}
-
-TEST(Serialize, SameDiffCrlfRoundTrip) {
-  C17Fixture fx;
-  std::vector<ResponseId> baselines(fx.tests.size());
-  for (std::size_t t = 0; t < fx.tests.size(); ++t)
-    baselines[t] = fx.rm.num_distinct(t) - 1;
-  const auto sd = SameDifferentDictionary::build(fx.rm, baselines);
-  std::stringstream ss;
-  write_dictionary(sd, ss);
-  std::stringstream crlf(to_crlf(ss.str()));
-  const auto again = read_samediff_dictionary(crlf);
-  EXPECT_EQ(again.baselines(), sd.baselines());
-  for (FaultId f = 0; f < sd.num_faults(); ++f)
-    EXPECT_EQ(again.row(f), sd.row(f));
-}
-
-TEST(Serialize, FullCrlfRoundTrip) {
-  C17Fixture fx;
-  const auto full = FullDictionary::build(fx.rm);
-  std::stringstream ss;
-  write_dictionary(full, ss);
-  std::stringstream crlf(to_crlf(ss.str()));
-  const auto again = read_full_dictionary(crlf);
-  EXPECT_EQ(again.indistinguished_pairs(), full.indistinguished_pairs());
-  for (FaultId f = 0; f < full.num_faults(); ++f)
-    for (std::size_t t = 0; t < full.num_tests(); ++t)
-      EXPECT_EQ(again.entry(f, t), full.entry(f, t));
-}
-
-TEST(Serialize, RejectsTrailingGarbageAfterRows) {
-  C17Fixture fx;
-  const auto pf = PassFailDictionary::build(fx.rm);
-  std::stringstream ss;
-  write_dictionary(pf, ss);
-  {
-    // An extra row beyond the declared fault count is not silently ignored.
-    std::stringstream extra(ss.str() + std::string(pf.num_tests(), '0') + "\n");
-    EXPECT_THROW(read_passfail_dictionary(extra), std::runtime_error);
-  }
-  {
-    std::stringstream junk(ss.str() + "junk");
-    EXPECT_THROW(read_passfail_dictionary(junk), std::runtime_error);
-  }
-  {
-    // Trailing blank lines are harmless, not garbage.
-    std::stringstream blank(ss.str() + "\n\n");
-    EXPECT_NO_THROW(read_passfail_dictionary(blank));
-  }
-}
-
-TEST(Serialize, RejectsTrailingGarbageSameDiffAndFull) {
-  C17Fixture fx;
-  {
-    std::vector<ResponseId> baselines(fx.tests.size(), 0);
-    const auto sd = SameDifferentDictionary::build(fx.rm, baselines);
-    std::stringstream ss;
-    write_dictionary(sd, ss);
-    std::stringstream junk(ss.str() + "0110\n");
-    EXPECT_THROW(read_samediff_dictionary(junk), std::runtime_error);
-  }
-  {
-    const auto full = FullDictionary::build(fx.rm);
-    std::stringstream ss;
-    write_dictionary(full, ss);
-    std::stringstream junk(ss.str() + "7\n");
-    EXPECT_THROW(read_full_dictionary(junk), std::runtime_error);
-  }
-}
-
-TEST(Serialize, RejectsCorruptHeader) {
-  std::stringstream ss("bogus v1\n");
-  EXPECT_THROW(read_passfail_dictionary(ss), std::runtime_error);
-}
-
-TEST(Serialize, RejectsTruncatedRows) {
-  std::stringstream ss("sddict-passfail v1\ntests 3 faults 2 outputs 1\n010\n");
-  EXPECT_THROW(read_passfail_dictionary(ss), std::runtime_error);
 }
 
 TEST(FromRows, WidthValidated) {

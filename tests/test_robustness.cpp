@@ -7,13 +7,9 @@
 //    including the Procedure-1 differential: a deadline-expired run is
 //    bit-identical to an unbudgeted run truncated at the same restart
 //    index, at one thread and at eight;
-//  * fault injection through library failpoints (src/util/failpoint.h) and
-//    failing stream buffers (tests/faultinject.h): injected faults surface
-//    as typed errors, never aborts, and the system works again afterwards;
-//  * serialization hardening — v2 round trips for all four dictionary
-//    types, degenerate shapes, v1 back-compat, and a deterministic mutation
-//    fuzzer (every truncation and every single-byte flip of a v2 file must
-//    be rejected with std::runtime_error).
+//  * fault injection through library failpoints (src/util/failpoint.h):
+//    injected faults surface as typed errors, never aborts, and the system
+//    works again afterwards.
 //
 // Registered under the ctest labels "robustness" and "concurrency" so the
 // sanitizer presets pick it up.
@@ -41,7 +37,6 @@
 #include "dict/multibaseline_dict.h"
 #include "dict/passfail_dict.h"
 #include "dict/samediff_dict.h"
-#include "dict/serialize.h"
 #include "fault/collapse.h"
 #include "faultinject.h"
 #include "netlist/transform.h"
@@ -57,9 +52,7 @@
 namespace sddict {
 namespace {
 
-using testing::FailAfterWriteBuf;
 using testing::ScopedFailPoint;
-using testing::ThrowAfterReadBuf;
 using testing::flip_byte;
 
 // ------------------------------------------------------------- fixtures --
@@ -87,32 +80,10 @@ Workload synth_workload(std::size_t gates, std::size_t num_tests,
   return w;
 }
 
-// The paper's worked example: four faults, two tests, two outputs. Small
-// enough that the fuzzers below can afford to re-parse the serialized file
-// once per byte.
-ResponseMatrix paper_example() {
-  const std::vector<BitVec> ff = {BitVec::from_string("00"),
-                                  BitVec::from_string("00")};
-  const std::vector<std::vector<BitVec>> faulty = {
-      {BitVec::from_string("10"), BitVec::from_string("11")},
-      {BitVec::from_string("00"), BitVec::from_string("10")},
-      {BitVec::from_string("01"), BitVec::from_string("10")},
-      {BitVec::from_string("01"), BitVec::from_string("00")},
-  };
-  return response_matrix_from_table(ff, faulty);
-}
-
 RunBudget cancelled_budget() {
   RunBudget b;
   b.cancel.cancel();
   return b;
-}
-
-template <typename Dict>
-std::string serialized(const Dict& d) {
-  std::stringstream ss;
-  write_dictionary(d, ss);
-  return ss.str();
 }
 
 void expect_same_selection(const BaselineSelection& a,
@@ -477,203 +448,6 @@ TEST(FaultInjection, Procedure1RestartFaultCrossesThePool) {
   }
   expect_same_selection(reference, run_procedure1(rm, cfg),
                         "after injected fault");
-}
-
-// ------------------------------------------------- serialization: v2 I/O --
-
-TEST(SerializeRobust, RoundTripAllFourDictionaryTypes) {
-  const ResponseMatrix rm = paper_example();
-
-  const auto pf = PassFailDictionary::build(rm);
-  std::stringstream s1(serialized(pf));
-  const auto pf2 = read_passfail_dictionary(s1);
-  EXPECT_EQ(pf2.indistinguished_pairs(), pf.indistinguished_pairs());
-  for (FaultId f = 0; f < pf.num_faults(); ++f)
-    EXPECT_EQ(pf2.row(f), pf.row(f));
-
-  const auto sd =
-      SameDifferentDictionary::build(rm, {rm.response(2, 0), rm.response(1, 1)});
-  std::stringstream s2(serialized(sd));
-  const auto sd2 = read_samediff_dictionary(s2);
-  EXPECT_EQ(sd2.baselines(), sd.baselines());
-  EXPECT_EQ(sd2.indistinguished_pairs(), sd.indistinguished_pairs());
-  for (FaultId f = 0; f < sd.num_faults(); ++f)
-    EXPECT_EQ(sd2.row(f), sd.row(f));
-
-  const auto full = FullDictionary::build(rm);
-  std::stringstream s3(serialized(full));
-  const auto full2 = read_full_dictionary(s3);
-  EXPECT_EQ(full2.indistinguished_pairs(), full.indistinguished_pairs());
-  for (FaultId f = 0; f < full.num_faults(); ++f)
-    for (std::size_t t = 0; t < full.num_tests(); ++t)
-      EXPECT_EQ(full2.entry(f, t), full.entry(f, t));
-
-  const auto mb = MultiBaselineDictionary::build(
-      rm, {{rm.response(0, 0), rm.response(2, 0)},
-           {rm.response(0, 1), rm.response(1, 1)}});
-  std::stringstream s4(serialized(mb));
-  const auto mb2 = read_multibaseline_dictionary(s4);
-  EXPECT_EQ(mb2.baselines(), mb.baselines());
-  EXPECT_EQ(mb2.baselines_per_test(), mb.baselines_per_test());
-  EXPECT_EQ(mb2.num_outputs(), mb.num_outputs());
-  EXPECT_EQ(mb2.indistinguished_pairs(), mb.indistinguished_pairs());
-  for (FaultId f = 0; f < mb.num_faults(); ++f)
-    EXPECT_EQ(mb2.row(f), mb.row(f));
-}
-
-TEST(SerializeRobust, DegenerateShapesRoundTrip) {
-  // One fault, zero tests, zero outputs.
-  const auto pf = PassFailDictionary::from_rows({BitVec(0)}, 0, 0);
-  std::stringstream s1(serialized(pf));
-  const auto pf2 = read_passfail_dictionary(s1);
-  EXPECT_EQ(pf2.num_faults(), 1u);
-  EXPECT_EQ(pf2.num_tests(), 0u);
-  EXPECT_EQ(pf2.num_outputs(), 0u);
-
-  const auto sd = SameDifferentDictionary::from_parts({BitVec(0)}, {}, 0);
-  std::stringstream s2(serialized(sd));
-  const auto sd2 = read_samediff_dictionary(s2);
-  EXPECT_EQ(sd2.num_faults(), 1u);
-  EXPECT_EQ(sd2.num_tests(), 0u);
-  EXPECT_TRUE(sd2.baselines().empty());
-
-  const auto full = FullDictionary::from_entries({}, 1, 0, 0);
-  std::stringstream s3(serialized(full));
-  const auto full2 = read_full_dictionary(s3);
-  EXPECT_EQ(full2.num_faults(), 1u);
-  EXPECT_EQ(full2.num_tests(), 0u);
-
-  // Multi-baseline needs at least one baseline: 1 fault, 1 test, rank 1.
-  const auto mb =
-      MultiBaselineDictionary::from_parts({BitVec(1)}, {{0}}, 1, 0);
-  std::stringstream s4(serialized(mb));
-  const auto mb2 = read_multibaseline_dictionary(s4);
-  EXPECT_EQ(mb2.num_faults(), 1u);
-  EXPECT_EQ(mb2.num_tests(), 1u);
-  EXPECT_EQ(mb2.baselines(), mb.baselines());
-}
-
-// Turns a v2 serialization into its v1 equivalent: version bumped down on
-// the magic line, trailer dropped.
-std::string as_v1(const std::string& v2) {
-  const std::size_t nl = v2.find('\n');
-  EXPECT_NE(nl, std::string::npos);
-  std::string out = v2.substr(0, nl);
-  const std::size_t v = out.rfind(" v2");
-  EXPECT_NE(v, std::string::npos);
-  out.replace(v, 3, " v1");
-  const std::size_t crc = v2.rfind("crc32 ");
-  EXPECT_NE(crc, std::string::npos);
-  out += v2.substr(nl, crc - nl);
-  return out;
-}
-
-TEST(SerializeRobust, V1FilesStillReadable) {
-  const ResponseMatrix rm = paper_example();
-  const auto sd =
-      SameDifferentDictionary::build(rm, {rm.response(2, 0), rm.response(1, 1)});
-  std::stringstream s1(as_v1(serialized(sd)));
-  const auto sd2 = read_samediff_dictionary(s1);
-  EXPECT_EQ(sd2.baselines(), sd.baselines());
-  for (FaultId f = 0; f < sd.num_faults(); ++f)
-    EXPECT_EQ(sd2.row(f), sd.row(f));
-
-  const auto mb = MultiBaselineDictionary::build(
-      rm, {{rm.response(0, 0), rm.response(2, 0)}, {rm.response(0, 1)}});
-  std::stringstream s2(as_v1(serialized(mb)));
-  const auto mb2 = read_multibaseline_dictionary(s2);
-  EXPECT_EQ(mb2.baselines(), mb.baselines());
-  for (FaultId f = 0; f < mb.num_faults(); ++f)
-    EXPECT_EQ(mb2.row(f), mb.row(f));
-}
-
-TEST(SerializeRobust, ChecksumMismatchNamesTheDefect) {
-  const ResponseMatrix rm = paper_example();
-  std::string text = serialized(PassFailDictionary::build(rm));
-  // Flip the last payload character (a row bit, two bytes before the
-  // trailer line): structure intact, checksum wrong.
-  const std::size_t crc = text.rfind("crc32 ");
-  ASSERT_NE(crc, std::string::npos);
-  ASSERT_GE(crc, 2u);
-  text = flip_byte(std::move(text), crc - 2);
-  std::stringstream ss(text);
-  try {
-    read_passfail_dictionary(ss);
-    FAIL() << "corrupted payload was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(SerializeRobust, MidWriteStreamFailureThrows) {
-  const ResponseMatrix rm = paper_example();
-  const auto pf = PassFailDictionary::build(rm);
-  FailAfterWriteBuf buf(/*limit=*/10);
-  std::ostream out(&buf);
-  EXPECT_THROW(write_dictionary(pf, out), std::runtime_error);
-}
-
-TEST(SerializeRobust, MidReadStreamFailureThrows) {
-  const ResponseMatrix rm = paper_example();
-  const std::string text = serialized(
-      SameDifferentDictionary::build(rm, {rm.response(2, 0), rm.response(1, 1)}));
-  ThrowAfterReadBuf buf(text, text.size() / 2);
-  std::istream in(&buf);
-  EXPECT_THROW(read_samediff_dictionary(in), std::runtime_error);
-}
-
-// ------------------------------------------ deterministic mutation fuzzer --
-
-TEST(SerializeFuzz, EveryTruncationRejected) {
-  const ResponseMatrix rm = paper_example();
-  const std::string text = serialized(
-      SameDifferentDictionary::build(rm, {rm.response(2, 0), rm.response(1, 1)}));
-  ASSERT_GT(text.size(), 1u);
-  for (std::size_t cut = 0; cut + 1 < text.size(); ++cut) {
-    std::stringstream ss(text.substr(0, cut));
-    EXPECT_THROW(read_samediff_dictionary(ss), std::runtime_error)
-        << "cut at byte " << cut << " was accepted";
-  }
-  // Dropping only the final '\n' leaves a complete file.
-  std::stringstream whole(text), clipped(text.substr(0, text.size() - 1));
-  EXPECT_EQ(read_samediff_dictionary(clipped).indistinguished_pairs(),
-            read_samediff_dictionary(whole).indistinguished_pairs());
-}
-
-TEST(SerializeFuzz, EverySingleByteFlipRejected) {
-  const ResponseMatrix rm = paper_example();
-  const std::string text = serialized(
-      SameDifferentDictionary::build(rm, {rm.response(2, 0), rm.response(1, 1)}));
-  // Every byte except the final newline: a flipped payload byte fails the
-  // checksum (at minimum), a flipped structural byte fails parsing, a
-  // flipped trailer byte fails the trailer check.
-  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
-    std::stringstream ss(flip_byte(text, i));
-    EXPECT_THROW(read_samediff_dictionary(ss), std::runtime_error)
-        << "flip at byte " << i << " was accepted";
-  }
-  // The final newline carries no information; flipping it to '\v' leaves
-  // the parse intact (trailing whitespace on the trailer line).
-  std::stringstream ss(flip_byte(text, text.size() - 1));
-  EXPECT_NO_THROW(read_samediff_dictionary(ss));
-}
-
-TEST(SerializeFuzz, MultiBaselineTruncationsAndFlipsRejected) {
-  const ResponseMatrix rm = paper_example();
-  const std::string text = serialized(MultiBaselineDictionary::build(
-      rm, {{rm.response(0, 0), rm.response(2, 0)}, {rm.response(1, 1)}}));
-  for (std::size_t cut = 0; cut + 1 < text.size(); ++cut) {
-    std::stringstream ss(text.substr(0, cut));
-    EXPECT_THROW(read_multibaseline_dictionary(ss), std::runtime_error)
-        << "cut at byte " << cut << " was accepted";
-  }
-  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
-    std::stringstream ss(flip_byte(text, i));
-    EXPECT_THROW(read_multibaseline_dictionary(ss), std::runtime_error)
-        << "flip at byte " << i << " was accepted";
-  }
 }
 
 // ------------------------------------------------------- CLI strictness --

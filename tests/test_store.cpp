@@ -11,8 +11,8 @@
 //  * mmap vs. stream loads are byte- and behavior-identical;
 //  * word-parallel kernels against their per-bit reference loops on random
 //    operands;
-//  * fault injection (same discipline as the v2 serialization trailer):
-//    EVERY single-byte flip and EVERY truncation of a packed store must be
+//  * fault injection: EVERY single-byte flip and EVERY truncation of a
+//    packed store, and a stream that fails mid-write or mid-read, must be
 //    rejected with a named std::runtime_error — never a crash, never a
 //    silently wrong answer.
 //
@@ -47,6 +47,8 @@
 namespace sddict {
 namespace {
 
+using testing::FailAfterWriteBuf;
+using testing::ThrowAfterReadBuf;
 using testing::flip_byte;
 using testing::truncate_to;
 
@@ -785,6 +787,40 @@ TEST(SignatureStore, MmapAndStreamLoadsAreIdentical) {
 TEST(SignatureStore, LoadFileMissingPathThrows) {
   EXPECT_THROW(SignatureStore::load_file(temp_path("no_such_store.bin")),
                std::runtime_error);
+}
+
+// Torn streams: a disk filling up mid-write and an I/O error mid-read are
+// named errors, never a silently short file or a half-parsed image.
+TEST(SignatureStore, MidWriteStreamFailureIsANamedError) {
+  const SignatureStore built =
+      SignatureStore::build(PassFailDictionary::build(rm()));
+  FailAfterWriteBuf buf(/*limit=*/100);
+  std::ostream out(&buf);
+  try {
+    built.write(out);
+    FAIL() << "a write into a failing stream was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("went bad mid-write"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SignatureStore, MidReadStreamFailureThrows) {
+  const std::string bytes =
+      SignatureStore::build(
+          SameDifferentDictionary::build(rm(), nontrivial_baselines(rm())))
+          .to_bytes();
+  ThrowAfterReadBuf buf(bytes, bytes.size() / 2);
+  std::istream in(&buf);
+  try {
+    SignatureStore::load(in);
+    FAIL() << "a read from a failing stream was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("went bad mid-read"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------------ edge cases --
