@@ -10,10 +10,40 @@
 
 namespace sddict {
 
+ResponseClasses ResponseClasses::singletons(std::size_t num_faults) {
+  ResponseClasses classes;
+  classes.rep.resize(num_faults);
+  std::iota(classes.rep.begin(), classes.rep.end(), std::uint32_t{0});
+  classes.weight.assign(num_faults, 1);
+  return classes;
+}
+
+ResponseClasses response_classes(const ResponseMatrix& rm) {
+  Partition part(rm.num_faults());
+  for (std::size_t j = 0; j < rm.num_tests() && !part.fully_refined(); ++j) {
+    const auto col = rm.column(j);
+    part.refine_with([&](std::uint32_t f) { return col[f]; });
+  }
+  // Members keep ascending fault order, so a class's first member is its
+  // lowest fault and the classes come out in order of first appearance.
+  ResponseClasses classes;
+  classes.rep.reserve(part.num_classes());
+  classes.weight.reserve(part.num_classes());
+  for (std::uint32_t f = 0; f < rm.num_faults(); ++f) {
+    const auto members = part.members(part.class_of(f));
+    if (members.front() != f) continue;
+    classes.rep.push_back(f);
+    classes.weight.push_back(static_cast<std::uint32_t>(members.size()));
+  }
+  return classes;
+}
+
 std::vector<std::uint64_t> candidate_dist(const ResponseMatrix& rm,
                                           std::size_t test,
                                           const Partition& partition) {
-  CandidateScorer scorer(rm.column(test), rm.num_distinct(test));
+  const ResponseClasses classes =
+      ResponseClasses::singletons(partition.num_elements());
+  CandidateScorer scorer(rm.column(test), classes, rm.num_distinct(test));
   for (std::uint32_t c : partition.open_classes())
     scorer.add_group(partition.members(c));
   return scorer.dist();
@@ -40,37 +70,64 @@ ResponseId scan_with_lower(const std::vector<std::uint64_t>& dist,
   return best_id;
 }
 
-BaselineSelection procedure1_single(const ResponseMatrix& rm,
-                                    const std::vector<std::size_t>& order,
-                                    std::size_t lower) {
+namespace {
+
+// Fault pairs a partition of classes leaves together: the sum over its
+// parts of C(W, 2), W the part's total weight.
+std::uint64_t weighted_pairs(const Partition& part,
+                             const ResponseClasses& classes) {
+  std::uint64_t pairs = 0;
+  for (std::size_t c = 0; c < part.num_classes(); ++c) {
+    std::size_t w = 0;
+    for (std::uint32_t e : part.members(c)) w += classes.weight[e];
+    pairs += Partition::pairs(w);
+  }
+  return pairs;
+}
+
+// Procedure 1 on one weighted row per class. The partition is over
+// classes, so it is fully refined exactly when every remaining group of
+// faults shares one full row and no test can split anything.
+BaselineSelection procedure1_on_classes(const ResponseMatrix& rm,
+                                        const ResponseClasses& classes,
+                                        const std::vector<std::size_t>& order,
+                                        std::size_t lower) {
   BaselineSelection sel;
-  // Tests never reached (processed after full refinement) keep the
-  // fault-free baseline, resolved per test rather than assumed to be id 0.
   sel.baselines.resize(rm.num_tests());
   for (std::size_t j = 0; j < rm.num_tests(); ++j)
     sel.baselines[j] = rm.fault_free_id(j);
-  Partition part(rm.num_faults());
-  const std::uint64_t total_pairs = Partition::pairs(rm.num_faults());
-
+  Partition part(classes.size());
   for (std::size_t j : order) {
     if (part.fully_refined()) break;
-    const ResponseId chosen =
-        scan_with_lower(candidate_dist(rm, j, part), lower);
-    sel.baselines[j] = chosen;
     const auto col = rm.column(j);
-    part.refine_with([&](std::uint32_t f) {
-      return static_cast<std::uint32_t>(col[f] == chosen);
+    CandidateScorer scorer(col, classes, rm.num_distinct(j));
+    for (std::uint32_t c : part.open_classes())
+      scorer.add_group(part.members(c));
+    const ResponseId chosen = scan_with_lower(scorer.dist(), lower);
+    sel.baselines[j] = chosen;
+    part.refine_with([&](std::uint32_t e) {
+      return static_cast<std::uint32_t>(col[classes.rep[e]] == chosen);
     });
   }
-  sel.indistinguished_pairs = part.indistinguished_pairs();
-  sel.distinguished_pairs = total_pairs - sel.indistinguished_pairs;
+  sel.indistinguished_pairs = weighted_pairs(part, classes);
+  sel.distinguished_pairs =
+      Partition::pairs(rm.num_faults()) - sel.indistinguished_pairs;
   sel.calls_used = 1;
   return sel;
+}
+
+}  // namespace
+
+BaselineSelection procedure1_single(const ResponseMatrix& rm,
+                                    const std::vector<std::size_t>& order,
+                                    std::size_t lower) {
+  return procedure1_on_classes(rm, response_classes(rm), order, lower);
 }
 
 BaselineSelection run_procedure1(const ResponseMatrix& rm,
                                  const BaselineSelectionConfig& config) {
   BudgetScope scope(config.budget);
+  const ResponseClasses classes = response_classes(rm);
 
   // Restart r is a pure function of (rm, config, r): restart 0 uses the
   // natural test order, restart r > 0 a permutation drawn from
@@ -88,11 +145,11 @@ BaselineSelection run_procedure1(const ResponseMatrix& rm,
       Rng rng(config.seed + r);
       rng.shuffle(order);
     }
-    return procedure1_single(rm, order, config.lower);
+    return procedure1_on_classes(rm, classes, order, config.lower);
   };
 
   BaselineSelection best = run_restart(0);
-  // calls_used == 1 marks a restart that actually ran (procedure1_single
+  // calls_used == 1 marks a restart that actually ran (procedure1_on_classes
   // sets it); 0 means restart 0 was skipped by an already-expired budget.
   const bool have_restart0 = best.calls_used == 1;
   // The all-fault-free assignment (a pass/fail dictionary) is itself a valid
@@ -103,17 +160,17 @@ BaselineSelection run_procedure1(const ResponseMatrix& rm,
   {
     BaselineSelection passfail;
     passfail.baselines.resize(rm.num_tests());
-    Partition part(rm.num_faults());
+    Partition part(classes.size());
     for (std::size_t j = 0; j < rm.num_tests(); ++j) {
       const ResponseId ff = rm.fault_free_id(j);
       passfail.baselines[j] = ff;
       const auto col = rm.column(j);
       if (!part.fully_refined())
-        part.refine_with([&](std::uint32_t f) {
-          return static_cast<std::uint32_t>(col[f] == ff);
+        part.refine_with([&](std::uint32_t e) {
+          return static_cast<std::uint32_t>(col[classes.rep[e]] == ff);
         });
     }
-    passfail.indistinguished_pairs = part.indistinguished_pairs();
+    passfail.indistinguished_pairs = weighted_pairs(part, classes);
     passfail.distinguished_pairs =
         Partition::pairs(rm.num_faults()) - passfail.indistinguished_pairs;
     if (!have_restart0 ||

@@ -7,11 +7,16 @@
 // For test t_j and candidate baseline z, the paper's dist(z) equals
 //     sum over classes C of  c_z(C) * (|C| - c_z(C)),
 // where c_z(C) is the number of members of C whose response under t_j is z.
-// All candidate scores for one test are computed in a single O(n) pass and
-// the paper's LOWER scan is then replayed over them, reproducing Procedure 1
-// exactly at a fraction of the cost of explicit pair bookkeeping. (The
-// explicit-pair reference implementation lives in core/pairset.h and is
-// cross-checked in tests.)
+// All candidate scores for one test are computed in a single O(rows) pass
+// and the paper's LOWER scan is then replayed over them, reproducing
+// Procedure 1 exactly at a fraction of the cost of explicit pair
+// bookkeeping. (The explicit-pair reference implementation lives in
+// core/pairset.h and is cross-checked in tests.)
+//
+// Faults with identical full response rows can never be split by any
+// baseline, so the rows scored are one weighted row per full-response
+// class (ResponseClasses): the partition refines class representatives,
+// and a class of w faults counts as w faults in every score and pair count.
 #pragma once
 
 #include <cstdint>
@@ -66,33 +71,58 @@ struct BaselineSelection {
   StopReason stop_reason = StopReason::kCompleted;
 };
 
-// Scores every candidate baseline z of one test over groups of faults:
+// The faults of a response matrix grouped by their full response row: one
+// weighted row per class. Class e stands for weight[e] faults whose rows
+// all equal the row of fault rep[e], its lowest member; classes are
+// numbered in order of first appearance, so rep is ascending.
+struct ResponseClasses {
+  std::vector<std::uint32_t> rep;
+  std::vector<std::uint32_t> weight;
+
+  std::size_t size() const { return rep.size(); }
+  // Every fault its own class of weight 1.
+  static ResponseClasses singletons(std::size_t num_faults);
+};
+
+// Groups the faults of `rm` by full row exactly, by refining a partition
+// column by column (no hashing of rows).
+ResponseClasses response_classes(const ResponseMatrix& rm);
+
+// Scores every candidate baseline z of one test over groups of classes:
 //
-//   dist(z) = sum over groups g of  c_zg * (|g| - c_zg),
+//   dist(z) = sum over groups g of  w_zg * (W_g - w_zg),
 //
-// where c_zg counts the members of g whose response under the test is z,
-// so dist(z) is the number of same-group pairs the bit [response != z]
-// separates. With the classes of the not-yet-distinguished relation as the
-// groups this is the paper's dist(z) (Procedure 1); with the groups of
-// faults that agree on every other dictionary column it is the pair gain
-// Procedure 2 maximizes. Groups of fewer than two members score nothing
-// and may be left out.
+// where W_g is the total weight of g and w_zg the weight of its members
+// whose response under the test is z, so dist(z) is the number of
+// same-group fault pairs the bit [response != z] separates. With the
+// classes of the not-yet-distinguished relation as the groups this is the
+// paper's dist(z) (Procedure 1); with the groups of rows that agree on
+// every other dictionary column it is the pair gain Procedure 2 maximizes.
+// Groups of one class score nothing and may be left out.
 class CandidateScorer {
  public:
-  // `column` holds the test's response id of every fault.
+  // `column` holds the test's response id of every fault; group members
+  // are indices into `classes`, which must outlive the scorer.
   CandidateScorer(std::span<const ResponseId> column,
-                  std::size_t num_candidates)
-      : column_(column), dist_(num_candidates, 0), count_(num_candidates, 0) {}
+                  const ResponseClasses& classes, std::size_t num_candidates)
+      : column_(column),
+        rep_(classes.rep),
+        weight_(classes.weight),
+        dist_(num_candidates, 0),
+        count_(num_candidates, 0) {}
 
   void add_group(std::span<const std::uint32_t> members) {
     touched_.clear();
-    for (std::uint32_t f : members) {
-      const ResponseId r = column_[f];
-      if (count_[r]++ == 0) touched_.push_back(r);
+    std::uint32_t total = 0;
+    for (std::uint32_t e : members) {
+      const ResponseId r = column_[rep_[e]];
+      const std::uint32_t w = weight_[e];
+      total += w;
+      if (count_[r] == 0) touched_.push_back(r);
+      count_[r] += w;
     }
     for (ResponseId r : touched_) {
-      dist_[r] += static_cast<std::uint64_t>(count_[r]) *
-                  (members.size() - count_[r]);
+      dist_[r] += static_cast<std::uint64_t>(count_[r]) * (total - count_[r]);
       count_[r] = 0;
     }
   }
@@ -101,13 +131,15 @@ class CandidateScorer {
 
  private:
   std::span<const ResponseId> column_;
+  std::span<const std::uint32_t> rep_;
+  std::span<const std::uint32_t> weight_;
   std::vector<std::uint64_t> dist_;
   std::vector<std::uint32_t> count_;  // zero between add_group calls
   std::vector<ResponseId> touched_;
 };
 
 // dist(z) for every candidate response of one test, given the current
-// partition (the paper's Step 3a, all candidates at once).
+// partition of the faults (the paper's Step 3a, all candidates at once).
 std::vector<std::uint64_t> candidate_dist(const ResponseMatrix& rm,
                                           std::size_t test,
                                           const Partition& partition);
@@ -119,8 +151,9 @@ ResponseId scan_with_lower(const std::vector<std::uint64_t>& dist,
                            std::size_t lower);
 
 // One pass of Procedure 1 over the tests in `order` (a permutation of
-// 0..k-1). Baselines of tests processed after full refinement default to
-// the fault-free response.
+// 0..k-1). Tests reached once nothing can be split any more (every class
+// of the refinement holds identical full rows) keep the fault-free
+// response, rm.fault_free_id(j).
 BaselineSelection procedure1_single(const ResponseMatrix& rm,
                                     const std::vector<std::size_t>& order,
                                     std::size_t lower);

@@ -10,15 +10,30 @@ BaselineSelection procedure1_single_pairs(const ResponseMatrix& rm,
                                           const std::vector<std::size_t>& order,
                                           std::size_t lower) {
   const std::size_t n = rm.num_faults();
+  const std::size_t k = rm.num_tests();
   BaselineSelection sel;
-  sel.baselines.assign(rm.num_tests(), 0);
+  // Tests reached once P is empty keep the fault-free response.
+  sel.baselines.resize(k);
+  for (std::size_t j = 0; j < k; ++j) sel.baselines[j] = rm.fault_free_id(j);
 
-  // Step 1: include in P every fault pair.
+  // Step 1: include in P every fault pair that some test distinguishes.
+  // Pairs with identical full rows stay indistinguished whatever the
+  // baselines; they are counted, not stored.
+  auto same_row = [&](FaultId a, FaultId b) {
+    for (std::size_t j = 0; j < k; ++j)
+      if (rm.response(a, j) != rm.response(b, j)) return false;
+    return true;
+  };
   std::vector<std::pair<FaultId, FaultId>> pairs;
-  pairs.reserve(Partition::pairs(n));
+  std::uint64_t inseparable = 0;
   for (FaultId a = 0; a < n; ++a)
-    for (FaultId b = a + 1; b < n; ++b) pairs.push_back({a, b});
-  const std::uint64_t total_pairs = pairs.size();
+    for (FaultId b = a + 1; b < n; ++b) {
+      if (same_row(a, b))
+        ++inseparable;
+      else
+        pairs.push_back({a, b});
+    }
+  const std::uint64_t total_pairs = Partition::pairs(n);
 
   auto splits = [&](ResponseId z, std::size_t j, FaultId a, FaultId b) {
     const bool sa = rm.response(a, j) == z;
@@ -57,8 +72,8 @@ BaselineSelection procedure1_single_pairs(const ResponseMatrix& rm,
     pairs = std::move(remaining);
   }
 
-  sel.indistinguished_pairs = pairs.size();
-  sel.distinguished_pairs = total_pairs - pairs.size();
+  sel.indistinguished_pairs = inseparable + pairs.size();
+  sel.distinguished_pairs = total_pairs - sel.indistinguished_pairs;
   sel.calls_used = 1;
   return sel;
 }

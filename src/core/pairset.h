@@ -3,6 +3,9 @@
 // pair-by-pair (Step 3a verbatim). Quadratic in the number of faults —
 // intended for validation against the partition-refinement implementation
 // (core/baseline.h) and for small pedagogical examples, not for benchmarks.
+// P holds only the pairs some test distinguishes, so it empties exactly
+// when nothing can be split any more; the tests not reached by then keep
+// the fault-free response, as in procedure1_single.
 #pragma once
 
 #include "core/baseline.h"

@@ -4,13 +4,19 @@
 // increases the number of distinguished fault pairs. Sweeps repeat until a
 // whole sweep makes no replacement.
 //
-// Scoring uses 128-bit row signatures: each fault's dictionary row is
-// summarized as the XOR of per-test tokens over its '1' bits, so the number
-// of *in*distinguished pairs is the number of duplicate-signature pairs.
-// For test j, faults are grouped by their *rest* signature (the row with
-// column j removed); every candidate baseline z of j is then scored at once
-// by CandidateScorer over those groups (core/baseline.h), which makes one
-// test cost O(n) whatever the number of candidates.
+// Scoring uses 128-bit row signatures: each dictionary row is summarized as
+// the XOR of per-test tokens over its '1' bits, so the number of
+// *in*distinguished pairs is the number of duplicate-signature pairs. The
+// rows are one weighted row per full-response class (ResponseClasses,
+// core/baseline.h): faults with identical full rows share every signature,
+// so a class of w faults is one row counting w. For test j, the rows are
+// grouped by their *rest* signature (the row with column j removed) and
+// each group sums its weights; every candidate baseline z of j is then
+// scored at once by CandidateScorer over those groups, which makes one test
+// cost O(rows) whatever the number of candidates. The rest groups are read
+// off the groups of equal signatures: a group whose bit j is set joins the
+// group whose signature differs from its own by exactly test j's token, if
+// that group's bit is clear.
 #pragma once
 
 #include <cstdint>

@@ -3,11 +3,13 @@
 #include <numeric>
 
 #include "bmcirc/embedded.h"
+#include "bmcirc/registry.h"
 #include "bmcirc/synth.h"
 #include "core/baseline.h"
 #include "core/hybrid.h"
 #include "core/pairset.h"
 #include "core/procedure2.h"
+#include "dict/full_dict.h"
 #include "dict/passfail_dict.h"
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
@@ -527,6 +529,238 @@ TEST(Procedure2, MatchesLiteralScanOnC17AndS27) {
       for (const Procedure2Config& config : stop_rules(matrices[m], initial))
         expect_matches_literal(matrices[m], initial, config,
                                "matrix=" + std::to_string(m));
+}
+
+// ------------------------------------------- full-response classes  --
+
+// A response_matrix_from_ids table with heavy duplication: `distinct`
+// random rows over `k` tests, each copied 1-6 times, plus a block of 1-4
+// all-fault-free rows, in shuffled fault order. With `permute_ff` the
+// fault-free signature sits at a random id of each test, else at id 0.
+ResponseMatrix duplicated_table(Rng& rng, std::size_t distinct, std::size_t k,
+                                bool permute_ff) {
+  std::vector<std::vector<Hash128>> sigs(k);
+  std::vector<ResponseId> ff(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t ids = 1 + rng.below(4);
+    for (std::size_t id = 0; id < ids; ++id)
+      sigs[j].push_back(slot_token(id, 1));
+    ff[j] = permute_ff ? static_cast<ResponseId>(rng.below(ids)) : 0;
+    sigs[j][ff[j]] = Hash128{};
+  }
+  std::vector<std::vector<ResponseId>> rows;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    std::vector<ResponseId> row(k);
+    for (std::size_t j = 0; j < k; ++j)
+      row[j] = static_cast<ResponseId>(rng.below(sigs[j].size()));
+    rows.insert(rows.end(), 1 + rng.below(6), row);
+  }
+  rows.insert(rows.end(), 1 + rng.below(4), ff);
+  rng.shuffle(rows);
+  std::vector<ResponseId> resp;
+  for (const auto& row : rows) resp.insert(resp.end(), row.begin(), row.end());
+  return response_matrix_from_ids(resp, sigs, rows.size(), k, 3);
+}
+
+bool same_row(const ResponseMatrix& rm, FaultId a, FaultId b) {
+  for (std::size_t j = 0; j < rm.num_tests(); ++j)
+    if (rm.response(a, j) != rm.response(b, j)) return false;
+  return true;
+}
+
+// The class of every fault, found by comparing rows with the representatives.
+std::vector<std::uint32_t> class_of_faults(const ResponseMatrix& rm,
+                                           const ResponseClasses& classes) {
+  std::vector<std::uint32_t> class_of(rm.num_faults());
+  for (FaultId f = 0; f < rm.num_faults(); ++f)
+    for (std::uint32_t e = 0; e < classes.size(); ++e)
+      if (same_row(rm, f, classes.rep[e])) class_of[f] = e;
+  return class_of;
+}
+
+TEST(ResponseClasses, GroupsIdenticalRowsExactly) {
+  Rng rng(5150);
+  for (int trial = 0; trial < 20; ++trial) {
+    const ResponseMatrix rm = duplicated_table(
+        rng, 1 + rng.below(8), 1 + rng.below(5), trial % 2 == 1);
+    const ResponseClasses classes = response_classes(rm);
+    ASSERT_EQ(classes.weight.size(), classes.size());
+    std::vector<std::uint32_t> weight(classes.size(), 0);
+    for (std::uint32_t e : class_of_faults(rm, classes)) ++weight[e];
+    EXPECT_EQ(classes.weight, weight) << "trial=" << trial;
+    for (std::size_t e = 0; e < classes.size(); ++e) {
+      // The representative is the lowest fault with its row, and distinct
+      // classes have distinct rows.
+      for (FaultId f = 0; f < classes.rep[e]; ++f)
+        EXPECT_FALSE(same_row(rm, f, classes.rep[e])) << "trial=" << trial;
+      if (e > 0) {
+        EXPECT_LT(classes.rep[e - 1], classes.rep[e]);
+      }
+    }
+  }
+}
+
+TEST(CandidateScorer, WeightedClassesMatchExpandedRows) {
+  // Scoring groups of classes with weights must equal scoring the groups
+  // of faults those classes stand for, one unit row per fault.
+  Rng rng(6160);
+  for (int trial = 0; trial < 20; ++trial) {
+    const ResponseMatrix rm =
+        duplicated_table(rng, 2 + rng.below(8), 1 + rng.below(4), true);
+    const ResponseClasses classes = response_classes(rm);
+    const std::vector<std::uint32_t> class_of = class_of_faults(rm, classes);
+    const ResponseClasses units = ResponseClasses::singletons(rm.num_faults());
+    const std::size_t num_groups = 1 + rng.below(3);
+    std::vector<std::uint32_t> group_of(classes.size());
+    for (auto& g : group_of)
+      g = static_cast<std::uint32_t>(rng.below(num_groups));
+    for (std::size_t j = 0; j < rm.num_tests(); ++j) {
+      CandidateScorer weighted(rm.column(j), classes, rm.num_distinct(j));
+      CandidateScorer expanded(rm.column(j), units, rm.num_distinct(j));
+      for (std::uint32_t g = 0; g < num_groups; ++g) {
+        std::vector<std::uint32_t> class_members;
+        std::vector<std::uint32_t> fault_members;
+        for (std::uint32_t e = 0; e < classes.size(); ++e)
+          if (group_of[e] == g) class_members.push_back(e);
+        for (FaultId f = 0; f < rm.num_faults(); ++f)
+          if (group_of[class_of[f]] == g) fault_members.push_back(f);
+        weighted.add_group(class_members);
+        expanded.add_group(fault_members);
+      }
+      EXPECT_EQ(weighted.dist(), expanded.dist())
+          << "trial=" << trial << " test=" << j;
+    }
+  }
+}
+
+TEST(Procedure1, MatchesExplicitPairReferenceOnDuplicatedRows) {
+  // Every distinct row copied 1-6 times plus a block of fault-free rows:
+  // the weighted classes carry most of the pair counts. Half the tables
+  // permute the fault-free id, and with few distinct rows most orders
+  // reach tests after nothing can split, which keep the fault-free id.
+  Rng rng(8080);
+  for (int trial = 0; trial < 24; ++trial) {
+    const ResponseMatrix rm = duplicated_table(
+        rng, 1 + rng.below(7), 1 + rng.below(6), trial % 2 == 1);
+    std::vector<std::size_t> order(rm.num_tests());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (int shuffle = 0; shuffle < 3; ++shuffle) {
+      for (std::size_t lower : {1u, 2u, 10u}) {
+        const auto fast = procedure1_single(rm, order, lower);
+        const auto slow = procedure1_single_pairs(rm, order, lower);
+        EXPECT_EQ(fast.baselines, slow.baselines)
+            << "trial=" << trial << " lower=" << lower;
+        EXPECT_EQ(fast.indistinguished_pairs, slow.indistinguished_pairs);
+        EXPECT_EQ(fast.distinguished_pairs, slow.distinguished_pairs);
+      }
+      rng.shuffle(order);
+    }
+  }
+}
+
+TEST(Procedure1, TestsAfterNothingCanSplitKeepFaultFreeId) {
+  // Test 0 splits {f0, f1} from {f2, f3}; the two pairs left have
+  // identical full rows, so test 1 is reached with nothing to split and
+  // keeps its fault-free response, which sits at id 1.
+  const Hash128 sig_a = slot_token(0, 1);
+  const Hash128 sig_x = slot_token(1, 1);
+  const ResponseMatrix rm = response_matrix_from_ids(
+      /*resp=*/{0, 0, 0, 0, 1, 0, 1, 0},
+      /*signatures=*/{{Hash128{}, sig_a}, {sig_x, Hash128{}}},
+      /*num_faults=*/4, /*num_tests=*/2, /*num_outputs=*/2);
+  ASSERT_EQ(rm.fault_free_id(1), 1u);
+  for (std::size_t lower : {1u, 10u}) {
+    for (const auto& sel : {procedure1_single(rm, {0, 1}, lower),
+                            procedure1_single_pairs(rm, {0, 1}, lower)}) {
+      EXPECT_EQ(sel.baselines[1], 1u);
+      EXPECT_EQ(sel.indistinguished_pairs, 2u);
+      EXPECT_EQ(sel.distinguished_pairs, 4u);
+    }
+  }
+}
+
+TEST(Procedure2, MatchesLiteralScanOnDuplicatedRows) {
+  Rng rng(9090);
+  for (int trial = 0; trial < 24; ++trial) {
+    const ResponseMatrix rm = duplicated_table(
+        rng, 1 + rng.below(7), 1 + rng.below(6), trial % 2 == 1);
+    for (const auto& initial : initial_assignments(rm, rng))
+      for (const Procedure2Config& config : stop_rules(rm, initial))
+        expect_matches_literal(rm, initial, config,
+                               "trial=" + std::to_string(trial));
+  }
+}
+
+// ------------------------------------------- pinned benchmark outputs  --
+
+// FNV-1a over a baseline assignment: pins a whole selection in one number.
+std::uint64_t baseline_digest(const std::vector<ResponseId>& baselines) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (ResponseId b : baselines) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Procedure1And2, PinnedOnBenchmarkCircuits) {
+  // Outputs of both procedures on two ISCAS-89 circuits, recorded before
+  // the procedures were moved onto weighted full-response classes; every
+  // implementation change must reproduce them at every thread count. The
+  // setup mirrors perfbench's build workload: full scan, collapsed faults,
+  // random patterns from Rng(1), target = the full dictionary's pairs.
+  struct Pinned {
+    const char* circuit;
+    std::size_t patterns;
+    std::size_t p1_calls;
+    std::uint64_t p1_indistinguished;
+    std::uint64_t p1_digest;
+    std::size_t p2_sweeps;
+    std::size_t p2_replacements;
+    std::uint64_t p2_indistinguished;
+    std::uint64_t p2_digest;
+  };
+  const Pinned pinned[] = {
+      {"s1423", 96, 30, 479980, 6274089711681774129ull, 4, 45, 479899,
+       14401763846531281025ull},
+      {"s953", 200, 28, 108338, 11912547864788576520ull, 2, 1, 108337,
+       12994192197464895877ull},
+  };
+  for (const Pinned& p : pinned) {
+    const Netlist nl = full_scan(load_benchmark(p.circuit));
+    const FaultList faults = collapsed_fault_list(nl).collapsed;
+    TestSet tests(nl.num_inputs());
+    Rng rng(1);
+    tests.add_random(p.patterns, rng);
+    const ResponseMatrix rm = build_response_matrix(nl, faults, tests);
+    const std::uint64_t total = Partition::pairs(rm.num_faults());
+    const std::uint64_t full_pairs =
+        FullDictionary::build(rm).indistinguished_pairs();
+    for (std::size_t threads : {1u, 4u}) {
+      const std::string what =
+          std::string(p.circuit) + " threads=" + std::to_string(threads);
+      BaselineSelectionConfig cfg;
+      cfg.lower = 10;
+      cfg.calls1 = 20;
+      cfg.seed = 1;
+      cfg.num_threads = threads;
+      cfg.target_indistinguished = full_pairs;
+      const BaselineSelection p1 = run_procedure1(rm, cfg);
+      EXPECT_EQ(p1.calls_used, p.p1_calls) << what;
+      EXPECT_EQ(p1.indistinguished_pairs, p.p1_indistinguished) << what;
+      EXPECT_EQ(p1.distinguished_pairs, total - p.p1_indistinguished) << what;
+      EXPECT_EQ(baseline_digest(p1.baselines), p.p1_digest) << what;
+
+      Procedure2Config p2cfg;
+      p2cfg.target_indistinguished = full_pairs;
+      const Procedure2Result p2 = run_procedure2(rm, p1.baselines, p2cfg);
+      EXPECT_EQ(p2.sweeps, p.p2_sweeps) << what;
+      EXPECT_EQ(p2.replacements, p.p2_replacements) << what;
+      EXPECT_EQ(p2.indistinguished_pairs, p.p2_indistinguished) << what;
+      EXPECT_EQ(p2.distinguished_pairs, total - p.p2_indistinguished) << what;
+      EXPECT_EQ(baseline_digest(p2.baselines), p.p2_digest) << what;
+    }
+  }
 }
 
 // -------------------------------------------------------------- hybrid  --
