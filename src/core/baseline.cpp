@@ -193,7 +193,7 @@ BaselineSelection run_procedure1(const ResponseMatrix& rm,
     if (no_improve >= config.calls1 ||
         best.indistinguished_pairs <= config.target_indistinguished)
       return true;
-    if (calls >= config.max_calls ||
+    if (calls >= kMaxProcedure1Calls ||
         (config.budget.max_restarts > 0 &&
          calls >= config.budget.max_restarts)) {
       scope.trip(StopReason::kMaxRestarts);

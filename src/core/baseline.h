@@ -29,12 +29,14 @@
 
 namespace sddict {
 
+// Hard cap on total Procedure-1 invocations in one restart loop: a safety
+// net behind calls1 and budget.max_restarts, far above any real run.
+inline constexpr std::size_t kMaxProcedure1Calls = 100000;
+
 struct BaselineSelectionConfig {
   std::size_t lower = 10;    // the paper's LOWER
   std::size_t calls1 = 100;  // the paper's CALLS1 (consecutive no-improve restarts)
   std::uint64_t seed = 1;
-  // Hard cap on total Procedure-1 invocations (safety net).
-  std::size_t max_calls = 100000;
   // Stop restarting once this many indistinguished pairs is reached — pass
   // the full-dictionary count, which lower-bounds every dictionary.
   std::uint64_t target_indistinguished = 0;
@@ -65,7 +67,7 @@ struct BaselineSelection {
   std::uint64_t indistinguished_pairs = 0;
   std::size_t calls_used = 0;  // Procedure-1 passes consumed by the reduction
   // False when a budget (deadline / cancellation / max_restarts, or the
-  // legacy max_calls safety net) ended the restart loop early; the
+  // kMaxProcedure1Calls safety net) ended the restart loop early; the
   // selection is still valid — it is the best of the passes consumed.
   bool completed = true;
   StopReason stop_reason = StopReason::kCompleted;
@@ -161,10 +163,11 @@ BaselineSelection procedure1_single(const ResponseMatrix& rm,
 // Procedure 1 with restarts: the first pass uses the natural test order,
 // pass r > 0 a permutation drawn from Rng(seed + r); stops after `calls1`
 // consecutive passes without improvement (or on reaching
-// target_indistinguished / max_calls). Never returns a selection worse than
-// the pass/fail dictionary (all-fault-free baselines). Ties between restarts
-// go to the lowest restart index. Runs restarts on config.num_threads
-// threads with a deterministic reduction — see BaselineSelectionConfig.
+// target_indistinguished / kMaxProcedure1Calls). Never returns a selection
+// worse than the pass/fail dictionary (all-fault-free baselines). Ties
+// between restarts go to the lowest restart index. Runs restarts on
+// config.num_threads threads with a deterministic reduction — see
+// BaselineSelectionConfig.
 BaselineSelection run_procedure1(const ResponseMatrix& rm,
                                  const BaselineSelectionConfig& config);
 

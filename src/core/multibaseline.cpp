@@ -121,7 +121,7 @@ MultiBaselineSelection run_multi_baseline(
                                                       config.lower);
   std::size_t calls = 1;
   std::size_t no_improve = 0;
-  while (no_improve < config.calls1 && calls < config.max_calls &&
+  while (no_improve < config.calls1 && calls < kMaxProcedure1Calls &&
          best.indistinguished_pairs > config.target_indistinguished) {
     rng.shuffle(order);
     MultiBaselineSelection cur =

@@ -128,8 +128,6 @@ void Client::send_raw(const std::string& bytes) {
   }
 }
 
-void Client::shutdown_write() { ::shutdown(fd_, SHUT_WR); }
-
 std::string Client::read_line() {
   for (;;) {
     const std::size_t nl = inbuf_.find('\n');

@@ -77,10 +77,8 @@ class Client {
   Reply read_reply();
   std::string read_line();
 
-  // Chaos helpers: raw bytes with no framing, and a half-close of the
-  // write side (what a mid-frame client death looks like to the server).
+  // Chaos helper: raw bytes with no framing.
   void send_raw(const std::string& bytes);
-  void shutdown_write();
 
   void close();
   bool connected() const { return fd_ >= 0; }

@@ -247,8 +247,7 @@ void ClientFront::handle_frame(Session& s, Frame frame) {
     case Frame::Type::kOversize: {
       ++live_.oversize;
       std::ostringstream os;
-      write_error(os, "frame exceeds " +
-                          std::to_string(options_.max_frame_bytes) + " bytes");
+      write_error(os, frame.text);
       slot.text = os.str();
       s.slots.push_back(std::move(slot));
       s.closing = true;  // the reader is wedged; reply, flush, close

@@ -52,6 +52,7 @@ void FrameReader::feed(const char* data, std::size_t n) {
       in_block_ = false;
       Frame f;
       f.type = Frame::Type::kOversize;
+      f.text = "frame exceeds " + std::to_string(max_frame_bytes_) + " bytes";
       ready_.push_back(std::move(f));
       return;
     }
@@ -65,10 +66,9 @@ void FrameReader::feed(const char* data, std::size_t n) {
   }
 }
 
-// Mirrors the blocking session loop's framing exactly: command lines are
-// only recognized outside a block; every other line (even a blank one)
-// accumulates into the block; a well-formed `end` line closes it — the
-// same rule the datalog reader itself uses.
+// Command lines are only recognized outside a block; every other line
+// (even a blank one) accumulates into the block; a well-formed `end` line
+// closes it — the same rule the datalog reader itself uses.
 void FrameReader::take_line(std::string line) {
   const std::vector<std::string> tokens = split_ws(line);
   if (!in_block_ && !tokens.empty() &&

@@ -1,7 +1,13 @@
-// The sddict_serve line protocol, factored out of the binary so the
-// serial stdio/Unix-socket session and the event-loop TCP front end
-// (net/server.h) render byte-identical responses from shared code — the
+// The sddict_serve line protocol: one framer and one set of renderers for
+// both front ends in net/server.h, the event loop (TCP and Unix sockets)
+// and the serial stream (stdio), so they answer byte-identically — the
 // property the soak harness diffs for.
+//
+// Request grammar: a tester datalog (diag/testerlog.h) closed by its
+// well-formed `end` line is one request; so is a `session ...` frame
+// (session/service.h). Outside a datalog, a `!verb` line (`!health`,
+// the repository admin verbs of net/backends.h) or a bare `stats` or
+// `quit` line is a command.
 //
 // Response grammar (one reply per request, always closed by `done`):
 //
@@ -19,12 +25,11 @@
 //                                     the suggested delay (client.h backs
 //                                     off exponentially from it)
 //
-// FrameReader is the incremental request framer for nonblocking reads:
-// bytes in, complete frames out, with the same framing rules the blocking
-// session loop uses (a `!verb` or bare `stats`/`quit` line outside a
-// datalog is a command; everything else accumulates until a well-formed
-// `end` line closes the datalog) plus a hard frame-size cap so one
-// endless line cannot grow a session buffer without bound.
+// FrameReader is the incremental request framer of both front ends:
+// bytes in, complete frames out (a `!verb` or bare `stats`/`quit` line
+// outside a datalog is a command; everything else accumulates until a
+// well-formed `end` line closes the datalog), with a hard frame-size cap
+// so one endless line cannot grow a session buffer without bound.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +43,8 @@
 
 namespace sddict::net {
 
-// Renders a resolved response exactly as serve_session always printed it.
-// `dropped` is the count of recovery-mode datalog records set aside.
+// Renders a resolved diagnosis reply. `dropped` is the count of
+// recovery-mode datalog records set aside.
 void write_response(std::ostream& out, const ServiceResponse& resp,
                     std::size_t dropped);
 void write_error(std::ostream& out, const std::string& what);
@@ -56,7 +61,8 @@ struct Frame {
   enum class Type {
     kCommand,   // a bare command or !admin line; `tokens` holds it split
     kDatalog,   // a complete datalog block (incl. its `end` line) in `text`
-    kOversize,  // frame-size cap exceeded; the session must be closed
+    kOversize,  // frame-size cap exceeded; `text` is the error message
+                // and the session must be closed
   };
   Type type = Type::kDatalog;
   std::vector<std::string> tokens;

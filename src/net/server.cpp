@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <istream>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -28,6 +29,67 @@ std::string format_net_stats(const NetStats& s) {
       << " pending=" << s.pending << " net_in_flight=" << s.in_flight;
   return out.str();
 }
+
+namespace {
+
+// A datalog frame's observations; recovery mode sets malformed records
+// aside (counted in the reply's `dropped=`) instead of failing the frame.
+TesterLog read_frame_log(const std::string& frame_text) {
+  std::istringstream in(frame_text);
+  return read_testerlog(in, {.recover = true});
+}
+
+void write_result(std::ostream& os, std::future<ServiceResponse>& future,
+                  std::size_t dropped) {
+  try {
+    write_response(os, future.get(), dropped);
+  } catch (const std::exception& e) {
+    write_error(os, e.what());
+  }
+}
+
+// The `stats`, `!health` and `!verb` commands of both front ends. `net`
+// carries the event loop's counters: `stats` appends them and `!health`
+// reports its pending plus dispatched requests as in flight. A stream
+// passes null, and nothing is in flight by the time a command runs there.
+void run_command(NetServer::Backend& backend,
+                 const std::vector<std::string>& tokens, const NetStats* net,
+                 bool draining, std::ostream& os) {
+  try {
+    if (tokens.size() == 1 && tokens[0] == "stats") {
+      os << "stats " << format_service_stats(backend.service().stats());
+      if (net != nullptr) os << " " << format_net_stats(*net);
+      os << "\n";
+    } else if (tokens.size() == 1 && tokens[0] == "!health") {
+      // Machine-readable one-liner (no `done`): what a supervisor or
+      // proxy health probe needs to decide rotation membership and drain
+      // completion. Zero in_flight means this backend owes nobody
+      // anything.
+      const ServiceStats svc = backend.service().stats();
+      os << "health state=" << (draining ? "draining" : "ok")
+         << " queue_depth=" << svc.queue_depth
+         << " in_flight=" << (net ? net->pending + net->in_flight : 0)
+         << " epoch=" << svc.swaps
+         << " version=" << backend.store_version() << "\n";
+    } else if (!backend.handle_admin(tokens, os)) {
+      write_error(os, "admin verbs need repository mode (--repo)");
+    }
+  } catch (const std::exception& e) {
+    write_error(os, e.what());
+  }
+}
+
+void run_session(NetServer::Backend& backend, const std::string& frame_text,
+                 std::ostream& os) {
+  try {
+    if (!backend.handle_session(frame_text, os))
+      write_error(os, "session verbs not supported by this server");
+  } catch (const std::exception& e) {
+    write_error(os, e.what());
+  }
+}
+
+}  // namespace
 
 // The local dispatcher: datalogs become jobs that wait in pending_ for
 // service capacity, then hold a future until the service resolves them;
@@ -54,9 +116,8 @@ class NetServer::Local final : public Dispatcher {
       job.text = std::move(frame.text);
       return {"", add(std::move(job))};
     }
-    std::istringstream blockin(frame.text);
     try {
-      TesterLog log = read_testerlog(blockin, {.recover = true});
+      TesterLog log = read_frame_log(frame.text);
       job.dropped = log.dropped.size();
       job.observed = std::move(log.observations);
     } catch (const std::exception& e) {
@@ -88,23 +149,16 @@ class NetServer::Local final : public Dispatcher {
         if (job.future.wait_for(std::chrono::seconds(0)) !=
             std::future_status::ready)
           return false;
-        try {
-          write_response(os, job.future.get(), job.dropped);
-        } catch (const std::exception& e) {
-          write_error(os, e.what());
-        }
+        write_result(os, job.future, job.dropped);
         --inflight_;
         break;
-      case Job::Kind::kAdmin:
-        run_admin(job.tokens, os);
+      case Job::Kind::kAdmin: {
+        const NetStats net = snapshot();
+        run_command(backend_, job.tokens, &net, front->draining(), os);
         break;
+      }
       case Job::Kind::kSession:
-        try {
-          if (!backend_.handle_session(job.text, os))
-            write_error(os, "session verbs not supported by this server");
-        } catch (const std::exception& e) {
-          write_error(os, e.what());
-        }
+        run_session(backend_, job.text, os);
         break;
       case Job::Kind::kReady:
         os << job.text;
@@ -195,31 +249,6 @@ class NetServer::Local final : public Dispatcher {
     return s;
   }
 
-  void run_admin(const std::vector<std::string>& tokens, std::ostream& os) {
-    try {
-      if (tokens.size() == 1 && tokens[0] == "stats") {
-        os << "stats " << format_service_stats(backend_.service().stats())
-           << " " << format_net_stats(snapshot()) << "\n";
-      } else if (tokens.size() == 1 && tokens[0] == "!health") {
-        // Machine-readable one-liner (no `done`): what a supervisor or
-        // proxy health probe needs to decide rotation membership and drain
-        // completion. in_flight counts every accepted request not yet
-        // replied to (net pending + dispatched), so zero here means this
-        // backend owes nobody anything.
-        const ServiceStats svc = backend_.service().stats();
-        os << "health state=" << (front->draining() ? "draining" : "ok")
-           << " queue_depth=" << svc.queue_depth
-           << " in_flight=" << (pending_.size() + inflight_)
-           << " epoch=" << svc.swaps
-           << " version=" << backend_.store_version() << "\n";
-      } else if (!backend_.handle_admin(tokens, os)) {
-        write_error(os, "admin verbs need repository mode (--repo)");
-      }
-    } catch (const std::exception& e) {
-      write_error(os, e.what());
-    }
-  }
-
   // Feeds queued requests into the service while capacity lasts, then
   // sheds pending-queue overflow oldest-first with explicit busy replies.
   void pump_admission() {
@@ -291,5 +320,64 @@ int NetServer::tcp_port() const { return front_->tcp_port(); }
 void NetServer::run() { front_->run(); }
 void NetServer::request_stop() { front_->request_stop(); }
 NetStats NetServer::stats() const { return local_->stats(); }
+
+void serve_stream(NetServer::Backend& backend, const NetServerOptions& options,
+                  std::istream& in, std::ostream& out) {
+  struct Owed {
+    std::future<ServiceResponse> future;
+    std::size_t dropped = 0;
+  };
+  std::deque<Owed> owed;
+  // Writes owed replies in request order; without `block`, stops at the
+  // first one not yet resolved.
+  const auto drain = [&](bool block) {
+    while (!owed.empty() &&
+           (block || owed.front().future.wait_for(std::chrono::seconds(0)) ==
+                         std::future_status::ready)) {
+      write_result(out, owed.front().future, owed.front().dropped);
+      out.flush();
+      owed.pop_front();
+    }
+  };
+  FrameReader reader(options.max_frame_bytes);
+  Frame frame;
+  // getline strips the newline and a final line may lack one; either way
+  // the framer gets a complete line, so a last `end` still closes.
+  for (std::string line; std::getline(in, line);) {
+    line += '\n';
+    reader.feed(line.data(), line.size());
+    while (reader.next(&frame)) {
+      if (frame.type == Frame::Type::kDatalog &&
+          !is_session_frame(frame.text)) {
+        try {
+          TesterLog log = read_frame_log(frame.text);
+          owed.push_back({backend.service().submit(std::move(log.observations)),
+                          log.dropped.size()});
+          drain(/*block=*/false);
+        } catch (const std::exception& e) {
+          drain(/*block=*/true);
+          write_error(out, e.what());
+          out.flush();
+        }
+        continue;
+      }
+      // Commands and session verbs are stateful: they run inline, after
+      // every reply owed before them.
+      drain(/*block=*/true);
+      if (frame.type == Frame::Type::kCommand) {
+        if (frame.tokens.size() == 1 && frame.tokens[0] == "quit") return;
+        run_command(backend, frame.tokens, nullptr, false, out);
+      } else if (frame.type == Frame::Type::kDatalog) {
+        run_session(backend, frame.text, out);
+      } else {
+        write_error(out, frame.text);  // oversize: the framer is wedged
+        out.flush();
+        return;
+      }
+      out.flush();
+    }
+  }
+  drain(/*block=*/true);
+}
 
 }  // namespace sddict::net

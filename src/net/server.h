@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,5 +147,18 @@ class NetServer {
   std::unique_ptr<Local> local_;
   std::unique_ptr<ClientFront> front_;
 };
+
+// Serves one request stream serially (sddict_serve's stdio mode) through
+// the event loop's framer and command code, so every reply byte matches a
+// NetServer connection's except `timing` lines and `stats`, which carries
+// no net counters here. Datalogs go through the blocking
+// DiagnosisService::submit (backpressure applies; a reply is never
+// `busy`), and replies come back in request order, one flush each:
+// resolved ones after every datalog, all owed ones before every command,
+// session frame, `quit` and EOF. Returns on `quit`, on EOF (an
+// unterminated datalog is dropped) or after answering a frame over
+// options.max_frame_bytes with the event loop's error.
+void serve_stream(NetServer::Backend& backend, const NetServerOptions& options,
+                  std::istream& in, std::ostream& out);
 
 }  // namespace sddict::net

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <istream>
 #include <map>
 
 #include "util/crc32.h"
@@ -319,17 +318,6 @@ Manifest read_manifest_string(const std::string& bytes) {
   }
   if (!saw_header) fail("missing header line");
   return m;
-}
-
-Manifest read_manifest(std::istream& in) {
-  std::string bytes;
-  char buf[1 << 14];
-  while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-    bytes.append(buf, static_cast<std::size_t>(in.gcount()));
-    if (in.bad()) break;
-  }
-  if (in.bad()) fail("read failed (stream went bad mid-read)");
-  return read_manifest_string(bytes);
 }
 
 std::string write_manifest_string(const Manifest& m) {

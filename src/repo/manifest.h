@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -93,10 +92,10 @@ struct Manifest {
   std::uint64_t next_version(std::string_view circuit, StoreSource kind) const;
 };
 
-// Parse / serialize. read_manifest throws ManifestError on any defect;
-// write_manifest_string always emits the CRC trailer the reader demands.
+// Parse / serialize. read_manifest_string throws ManifestError on any
+// defect; write_manifest_string always emits the CRC trailer the reader
+// demands.
 Manifest read_manifest_string(const std::string& bytes);
-Manifest read_manifest(std::istream& in);
 std::string write_manifest_string(const Manifest& m);
 
 // The manifest's kind token (same spelling as store_source_name — none of

@@ -12,15 +12,6 @@
 
 namespace sddict {
 
-const char* observed_status_name(ObservedStatus s) {
-  switch (s) {
-    case ObservedStatus::kValue: return "value";
-    case ObservedStatus::kMissing: return "missing";
-    case ObservedStatus::kUnstable: return "unstable";
-  }
-  return "?";
-}
-
 std::vector<Observed> qualify(const std::vector<ResponseId>& observed) {
   std::vector<Observed> out(observed.size());
   for (std::size_t t = 0; t < observed.size(); ++t)

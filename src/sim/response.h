@@ -35,8 +35,6 @@ using ResponseId = std::uint32_t;
 // mismatch counting — instead of silently mismatching every fault.
 enum class ObservedStatus : std::uint8_t { kValue = 0, kMissing, kUnstable };
 
-const char* observed_status_name(ObservedStatus s);
-
 struct Observed {
   ResponseId value = 0;  // meaningful only when status == kValue
   ObservedStatus status = ObservedStatus::kValue;

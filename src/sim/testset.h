@@ -45,8 +45,6 @@ class TestSet {
   void pack_batch(std::size_t first, std::size_t count,
                   std::vector<std::uint64_t>* words) const;
 
-  std::size_t num_batches() const { return (size() + 63) / 64; }
-
  private:
   std::size_t num_inputs_ = 0;
   std::vector<BitVec> tests_;

@@ -145,9 +145,6 @@ class SignatureStore {
   std::size_t num_outputs() const { return num_outputs_; }
   std::size_t rank() const { return rank_; }
   std::uint64_t signature_bits() const { return sig_bits_; }
-  std::size_t words_per_row() const {
-    return static_cast<std::size_t>(row_stride_) / 8;
-  }
 
   // Zero-copy row access (the kernel operand). 64-byte aligned when the
   // store is mmap'd or freshly built; at least 8-byte aligned always.

@@ -4,15 +4,6 @@
 
 namespace sddict {
 
-const char* distinguish_status_name(DistinguishStatus s) {
-  switch (s) {
-    case DistinguishStatus::kFound: return "found";
-    case DistinguishStatus::kIndistinguishable: return "indistinguishable";
-    case DistinguishStatus::kAborted: return "aborted";
-  }
-  return "?";
-}
-
 DistinguishStatus distinguish_pair(const Netlist& nl, const StuckFault& fa,
                                    const StuckFault& fb, BitVec* test, Rng& rng,
                                    const PodemOptions& options) {

@@ -14,8 +14,6 @@ namespace sddict {
 
 enum class DistinguishStatus { kFound, kIndistinguishable, kAborted };
 
-const char* distinguish_status_name(DistinguishStatus s);
-
 DistinguishStatus distinguish_pair(const Netlist& nl, const StuckFault& fa,
                                    const StuckFault& fb, BitVec* test, Rng& rng,
                                    const PodemOptions& options = {});

@@ -15,15 +15,6 @@ std::uint32_t sat_add(std::uint32_t a, std::uint32_t b) {
 
 }  // namespace
 
-const char* podem_status_name(PodemStatus s) {
-  switch (s) {
-    case PodemStatus::kTestFound: return "test-found";
-    case PodemStatus::kUntestable: return "untestable";
-    case PodemStatus::kAborted: return "aborted";
-  }
-  return "?";
-}
-
 Podem::Podem(const Netlist& nl, PodemOptions options)
     : nl_(&nl), options_(options) {
   if (nl.has_dffs()) throw std::runtime_error("Podem: run full_scan first");

@@ -40,8 +40,6 @@ struct PodemOptions {
 
 enum class PodemStatus { kTestFound, kUntestable, kAborted };
 
-const char* podem_status_name(PodemStatus s);
-
 class Podem {
  public:
   explicit Podem(const Netlist& nl, PodemOptions options = {});

@@ -20,10 +20,6 @@ BitVec BitVec::from_string(const std::string& s) {
   return v;
 }
 
-void BitVec::clear_all() {
-  for (auto& w : words_) w = 0;
-}
-
 void BitVec::set_all() {
   for (auto& w : words_) w = ~std::uint64_t{0};
   normalize_tail();

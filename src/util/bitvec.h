@@ -32,7 +32,6 @@ class BitVec {
   }
   void flip(std::size_t i) { words_[i >> 6] ^= std::uint64_t{1} << (i & 63); }
 
-  void clear_all();
   void set_all();
 
   // Appends one bit, growing the vector.

@@ -116,18 +116,6 @@ bool send_signal(pid_t pid, int sig) {
 
 bool alive(pid_t pid) { return pid > 0 && ::kill(pid, 0) == 0; }
 
-std::string read_all(int fd) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
-  }
-  return out;
-}
-
 std::string read_line(int fd) {
   std::string line;
   char c;

@@ -56,10 +56,6 @@ bool send_signal(pid_t pid, int sig);
 // counts as alive until it is reaped.
 bool alive(pid_t pid);
 
-// Reads the fd to EOF (EINTR-tolerant) and returns everything; the
-// soak-harness idiom for collecting a child's captured stream.
-std::string read_all(int fd);
-
 // Reads one '\n'-terminated line (the newline is stripped); an empty
 // string on EOF. For parsing a child's startup banner line by line.
 std::string read_line(int fd);

@@ -44,6 +44,7 @@
 #include "fault/collapse.h"
 #include "fleet/proxy.h"
 #include "fleet/supervisor.h"
+#include "net/backends.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -149,43 +150,18 @@ struct FailpointGuard {
 
 // ------------------------------------------- in-process backend source --
 
-// One in-process repo-mode backend: a NetServer over a DiagnosisService
-// whose store comes from the shared repository, with `!reload` wired the
-// way sddict_serve wires it (re-read manifest, swap to latest version).
-struct FleetTestBackend : net::NetServer::Backend {
-  DictionaryRepository* repo = nullptr;
-  std::string circuit;
-  std::unique_ptr<DiagnosisService> svc;
-  std::uint64_t version = 0;
+// Gate config for the in-process backends: replies must be bit-identical.
+ServiceOptions gate_options() {
+  ServiceOptions sopts;
+  sopts.threads = 1;
+  sopts.batch = 1;
+  sopts.cache = 0;
+  return sopts;
+}
 
-  FleetTestBackend(DictionaryRepository* r, std::string c) : repo(r),
-                                                             circuit(c) {
-    ServiceOptions sopts;
-    sopts.threads = 1;
-    sopts.batch = 1;
-    sopts.cache = 0;  // gate config: replies must be bit-identical
-    svc = std::make_unique<DiagnosisService>(
-        repo->acquire(circuit, StoreSource::kSameDifferent), sopts);
-    version = repo->latest_version(circuit, StoreSource::kSameDifferent);
-  }
-  DiagnosisService& service() override { return *svc; }
-  std::uint64_t store_version() override { return version; }
-  bool handle_admin(const std::vector<std::string>& tokens,
-                    std::ostream& os) override {
-    if (tokens.size() == 1 && tokens[0] == "!reload") {
-      repo->reload();
-      svc->swap_store(repo->acquire(circuit, StoreSource::kSameDifferent));
-      version = repo->latest_version(circuit, StoreSource::kSameDifferent);
-      os << "reloaded circuit=" << circuit << " swapped=1\n"
-         << "done\n";
-      return true;
-    }
-    return false;
-  }
-};
-
-// A BackendSource over in-process NetServers: real sockets, real line
-// protocol, no child processes — so tests control death and restart
+// A BackendSource over in-process NetServers, each over the repository
+// backend sddict_serve --repo runs: real sockets, real line protocol, no
+// child processes — so tests control death and restart
 // deterministically. tick()/restart() run on the proxy loop thread;
 // the test's main thread uses stop_node() under the same lock.
 class TestBackendSource : public fleet::BackendSource {
@@ -234,7 +210,7 @@ class TestBackendSource : public fleet::BackendSource {
 
  private:
   struct Node {
-    std::unique_ptr<FleetTestBackend> backend;
+    std::unique_ptr<net::RepoBackend> backend;
     std::unique_ptr<net::NetServer> server;
     std::thread thread;
     int port = -1;
@@ -244,7 +220,8 @@ class TestBackendSource : public fleet::BackendSource {
   void start_node_locked(int id) {
     Node& n = nodes_[static_cast<std::size_t>(id)];
     if (n.server) return;
-    n.backend = std::make_unique<FleetTestBackend>(repo_, circuit_);
+    n.backend =
+        std::make_unique<net::RepoBackend>(*repo_, gate_options(), circuit_);
     net::NetServerOptions nopts;
     nopts.tcp_port = 0;
     n.server = std::make_unique<net::NetServer>(*n.backend, nopts);

@@ -16,7 +16,10 @@
 //  * reaping: idle sessions and slow-loris partial frames are closed on
 //    their timeouts and tallied;
 //  * drain-on-shutdown: every accepted request is answered before run()
-//    returns.
+//    returns;
+//  * the serial stream front end (serve_stream, sddict_serve's stdio
+//    mode) answers a script byte-for-byte like a loopback NetServer, and
+//    keeps its EOF, unterminated-`end` and frame-cap behavior.
 //
 // Registered under the "serving" ctest label; the tsan preset includes it.
 #include <gtest/gtest.h>
@@ -36,6 +39,7 @@
 #include "dict/full_dict.h"
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
+#include "net/backends.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -45,6 +49,7 @@
 #include "store/signature_store.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sddict {
 namespace {
@@ -121,11 +126,11 @@ class TestServer {
  public:
   explicit TestServer(net::NetServerOptions nopts = {},
                       ServiceOptions sopts = gate_options()) {
-    service_ = std::make_unique<DiagnosisService>(SignatureStore::build(sd()),
-                                                  sopts);
-    backend_.svc = service_.get();
+    backend_ = std::make_unique<net::StoreBackend>(
+        std::make_shared<const SignatureStore>(SignatureStore::build(sd())),
+        sopts);
     nopts.tcp_port = 0;
-    server_ = std::make_unique<net::NetServer>(backend_, nopts);
+    server_ = std::make_unique<net::NetServer>(*backend_, nopts);
     server_->start();
     thread_ = std::thread([this] { server_->run(); });
   }
@@ -166,16 +171,7 @@ class TestServer {
   }
 
  private:
-  struct StoreBackend : net::NetServer::Backend {
-    DiagnosisService* svc = nullptr;
-    DiagnosisService& service() override { return *svc; }
-    bool handle_admin(const std::vector<std::string>&, std::ostream&) override {
-      return false;
-    }
-  };
-
-  std::unique_ptr<DiagnosisService> service_;
-  StoreBackend backend_;
+  std::unique_ptr<net::StoreBackend> backend_;
   std::unique_ptr<net::NetServer> server_;
   std::thread thread_;
 };
@@ -483,6 +479,152 @@ TEST(NetServing, DrainAnswersEveryAcceptedRequest) {
   EXPECT_EQ(s.in_flight, 0u);
   // The listener is gone: new connections are refused.
   EXPECT_THROW(server.connect(), std::runtime_error);
+}
+
+// ---------------------------------------------------------- serve_stream --
+
+// A fresh gate-configured store backend with session verbs, as sddict_serve
+// builds it; every run gets its own, so counters and session state start
+// equal.
+std::unique_ptr<net::StoreBackend> stream_backend() {
+  return std::make_unique<net::StoreBackend>(
+      std::make_shared<const SignatureStore>(SignatureStore::build(sd())),
+      TestServer::gate_options());
+}
+
+std::string run_stream(const std::string& script,
+                       net::NetServerOptions nopts = {}) {
+  auto backend = stream_backend();
+  std::istringstream in(script);
+  std::ostringstream out;
+  net::serve_stream(*backend, nopts, in, out);
+  return out.str();
+}
+
+// Transcript canonicalization: drops `timing` lines, and cuts `stats`
+// lines to their deterministic service counters — the latency fields,
+// the batches/in_flight gauges (they lag future resolution) and the
+// event loop's net suffix go.
+std::string canonical_transcript(const std::string& text) {
+  std::istringstream is(text);
+  std::string out;
+  for (std::string line; std::getline(is, line);) {
+    if (line.rfind("timing ", 0) == 0) continue;
+    if (line.rfind("stats ", 0) == 0) {
+      std::string kept = "stats";
+      for (const std::string& tok : split_ws(line.substr(0, line.find(" p50_ms="))))
+        if (tok != "stats" && tok.rfind("batches=", 0) != 0 &&
+            tok.rfind("in_flight=", 0) != 0)
+          kept += " " + tok;
+      line = kept;
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+// The frames of the byte-for-byte script, one request each.
+std::vector<std::string> stream_script() {
+  const std::string clean = frame_text(fault_observation(3));
+  // Degraded: a damaged record the recovery-mode reader sets aside
+  // (`dropped=1`) plus a bit flip on another test.
+  std::vector<Observed> flipped = fault_observation(11);
+  flipped[5] = Observed::of(flipped[5].value == 0 ? 1 : 0);
+  std::string degraded = frame_text(flipped);
+  degraded.insert(degraded.find("\nt ") + 1, "t 2 banana\n");
+  return {
+      clean,
+      degraded,
+      "t 0 garbage\nend\n",  // malformed: no testerlog header
+      "session begin D\nend\n",
+      "session append D\n" + clean,
+      "session append D\n" + degraded,
+      "session diagnose D\nend\n",
+      "session end D\nend\n",
+      "!health\n",
+      "!list\n",  // admin verbs need repository mode
+      clean,
+      "stats\n",
+      "quit\n",
+  };
+}
+
+TEST(ServeStream, MatchesEventLoopByteForByte) {
+  const std::vector<std::string> script = stream_script();
+  std::string all;
+  for (const std::string& frame : script) all += frame;
+  const std::string stream = run_stream(all);
+
+  // The same frames, one exchange at a time, through a loopback NetServer
+  // over an identically built backend.
+  auto backend = stream_backend();
+  net::NetServerOptions nopts;
+  nopts.tcp_port = 0;
+  net::NetServer server(*backend, nopts);
+  server.start();
+  std::thread loop([&] { server.run(); });
+  std::string loopback;
+  {
+    net::Client client =
+        net::Client::connect_tcp("127.0.0.1", server.tcp_port(), 10);
+    for (const std::string& frame : script) {
+      if (frame == "quit\n") {
+        client.send_raw(frame);
+        EXPECT_THROW(client.read_line(), std::runtime_error);  // closed
+      } else if (frame == "!health\n" || frame == "stats\n") {
+        loopback += client.command_line(frame.substr(0, frame.size() - 1));
+        loopback += "\n";
+      } else {
+        for (const std::string& l : client.request(frame).lines)
+          loopback += l + "\n";
+      }
+    }
+  }
+  server.request_stop();
+  loop.join();
+
+  EXPECT_NE(stream.find(" dropped=1\n"), std::string::npos) << stream;
+  EXPECT_NE(stream.find("error admin verbs need repository mode"),
+            std::string::npos);
+  EXPECT_NE(stream.find("health state=ok queue_depth=0 in_flight=0"),
+            std::string::npos);
+  EXPECT_NE(stream.find("session id=D state=closed runs=2"),
+            std::string::npos)
+      << stream;
+  // The stream's stats line is service-only; the event loop appends net
+  // counters.
+  EXPECT_EQ(stream.find(" busy_shed="), std::string::npos);
+  EXPECT_NE(loopback.find(" busy_shed="), std::string::npos);
+  EXPECT_EQ(canonical_transcript(stream), canonical_transcript(loopback));
+}
+
+TEST(ServeStream, EofInsideAnOpenDatalogIsDroppedSilently) {
+  const std::string clean = frame_text(fault_observation(4));
+  const std::string open_frame = clean.substr(0, clean.rfind("end\n"));
+  EXPECT_EQ(canonical_transcript(run_stream(clean + open_frame)),
+            expected_reply(fault_observation(4)));
+}
+
+TEST(ServeStream, FinalEndWithoutNewlineIsAnswered) {
+  const std::string clean = frame_text(fault_observation(6));
+  ASSERT_EQ(clean.back(), '\n');
+  EXPECT_EQ(canonical_transcript(
+                run_stream(clean.substr(0, clean.size() - 1))),
+            expected_reply(fault_observation(6)));
+}
+
+TEST(ServeStream, OversizeFrameGetsTheEventLoopErrorAndEndsTheStream) {
+  net::NetServerOptions nopts;
+  nopts.max_frame_bytes = 64;
+  const std::string out = run_stream(
+      "!health\n" + std::string(200, 'x') + "\n!health\n", nopts);
+  std::istringstream is(out);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u) << out;
+  EXPECT_EQ(lines[0].rfind("health state=ok ", 0), 0u);
+  EXPECT_EQ(lines[1], "error frame exceeds 64 bytes");
+  EXPECT_EQ(lines[2], "done");
 }
 
 }  // namespace

@@ -17,7 +17,11 @@
 //    resolves, zero errors, every ranking identical to the direct engine
 //    call — plus cache invalidation when a swap actually changes content;
 //  * crash-consistency via the publish failpoints: a failure before or
-//    between the two atomic writes never corrupts the catalog.
+//    between the two atomic writes never corrupts the catalog;
+//  * the repository admin verbs of the serving backend (net/backends.h),
+//    driven in process through serve_stream: !list, !use, !reload after a
+//    republish, !stats, !compact (a malformed lossy budget publishes
+//    nothing) and !squash.
 //
 // Registered under the "serving" ctest label; the tsan preset includes it.
 #include <gtest/gtest.h>
@@ -25,6 +29,8 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <regex>
+#include <sstream>
 #include <stdexcept>
 #include <set>
 #include <string>
@@ -36,6 +42,8 @@
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
 #include "faultinject.h"
+#include "net/backends.h"
+#include "net/server.h"
 #include "repo/manifest.h"
 #include "repo/repository.h"
 #include "serve/diagnosis_service.h"
@@ -700,6 +708,107 @@ TEST(RepositoryCrash, FailedPublishNeverCorruptsTheCatalog) {
   repo.reload();
   EXPECT_NE(repo.acquire_version("synth", StoreSource::kSameDifferent, 2),
             nullptr);
+}
+
+// ------------------------------------------------------ admin verbs --
+
+ServiceOptions gate_options() {
+  ServiceOptions o;
+  o.threads = 1;
+  o.batch = 1;
+  o.cache = 0;
+  return o;
+}
+
+// Runs one script through the serial front end sddict_serve's stdio mode
+// uses, against a backend that keeps its state between calls.
+std::string serve(net::RepoBackend& backend, const std::string& script) {
+  std::istringstream in(script);
+  std::ostringstream out;
+  net::serve_stream(backend, {}, in, out);
+  return out.str();
+}
+
+bool has_line(const std::string& text, const std::string& pattern) {
+  return std::regex_search(text, std::regex("(^|\n)" + pattern + "\n"));
+}
+
+TEST(RepoAdminVerbs, ListUseReloadAndStats) {
+  const std::string dir = fresh_repo_dir("admin_reload");
+  DictionaryRepository repo(dir);
+  const SignatureStore store = SignatureStore::build(sd_dict());
+  repo.publish("synth", StoreSource::kSameDifferent, store, {});
+  net::RepoBackend backend(repo, gate_options(), "");
+
+  const std::string before =
+      serve(backend, "!health\n!list\n!use synth\n!health\n");
+  EXPECT_TRUE(has_line(before, "error no circuit selected \\(use !use "
+                               "CIRCUIT\\)\ndone"))
+      << before;
+  EXPECT_TRUE(has_line(
+      before, "artifact circuit=synth kind=same/different version=1 .*"))
+      << before;
+  EXPECT_TRUE(has_line(before, "using circuit=synth kind=same/different "
+                               "faults=" +
+                                   std::to_string(store.num_faults()) +
+                                   " tests=" +
+                                   std::to_string(store.num_tests())))
+      << before;
+  EXPECT_TRUE(has_line(before, "health state=ok queue_depth=0 in_flight=0 "
+                               "epoch=0 version=1"))
+      << before;
+
+  // A republish from another process, then a hot reload.
+  DictionaryRepository(dir).publish("synth", StoreSource::kSameDifferent,
+                                    store, {});
+  const std::string after = serve(backend, "!reload\n!health\n!stats\n");
+  EXPECT_TRUE(has_line(after, "reloaded circuit=synth swapped=1")) << after;
+  EXPECT_TRUE(has_line(after, "health state=ok queue_depth=0 in_flight=0 "
+                              "epoch=1 version=2"))
+      << after;
+  EXPECT_TRUE(has_line(after, "stats repo loads=.*")) << after;
+  EXPECT_TRUE(has_line(after, "stats circuit=synth kind=same/different "
+                              "requests=0 .* swaps=1 .* version=2 chain=0 "
+                              "store_bytes=" +
+                                  std::to_string(store.size_bytes())))
+      << after;
+  EXPECT_EQ(backend.store_version(), 2u);
+}
+
+TEST(RepoAdminVerbs, CompactRejectsBadBudgetsThenCompactsAndSquashes) {
+  const std::string dir = fresh_repo_dir("admin_compact");
+  DictionaryRepository repo(dir);
+  const SignatureStore store = SignatureStore::build(sd_dict());
+  // Every column twice, so a lossless compaction has tests to drop.
+  repo.publish("synth", StoreSource::kSameDifferent,
+               SignatureStore::concat_tests(store, store), {});
+  net::RepoBackend backend(repo, gate_options(), "synth");
+
+  // std::stoull used to accept "-1" and wrap it to an unbounded budget.
+  for (const std::string eps : {"-1", "", "1x", "+1"}) {
+    const std::string reply = serve(backend, "!compact lossy:" + eps + "\n");
+    EXPECT_EQ(reply, "error bad lossy budget '" + eps + "'\ndone\n");
+    EXPECT_EQ(repo.latest_version("synth", StoreSource::kSameDifferent), 1u);
+  }
+
+  const std::string out =
+      serve(backend, "!compact\n!squash\n!stats\n!list\n");
+  EXPECT_TRUE(has_line(out, "compacted circuit=synth kind=same/different "
+                            "version=2 tests=" +
+                                std::to_string(2 * store.num_tests()) +
+                                "->[0-9]+ .*published=1 swapped=1"))
+      << out;
+  EXPECT_TRUE(has_line(out, "squashed circuit=synth kind=same/different "
+                            "version=3 chain_before=1 .*swapped=1"))
+      << out;
+  EXPECT_TRUE(has_line(out, "stats circuit=synth .* version=3 chain=0 "
+                            "store_bytes=[0-9]+"))
+      << out;
+  EXPECT_TRUE(has_line(out, "artifact circuit=synth kind=same/different "
+                            "version=2 .* chain=1 base=1 added=0 .*"))
+      << out;
+  EXPECT_EQ(repo.latest_version("synth", StoreSource::kSameDifferent), 3u);
+  EXPECT_EQ(backend.store_version(), 3u);
 }
 
 }  // namespace

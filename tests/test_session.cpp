@@ -41,9 +41,11 @@
 #include "dict/passfail_dict.h"
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
+#include "net/backends.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "serve/diagnosis_service.h"
 #include "session/engine.h"
 #include "session/evidence.h"
 #include "session/service.h"
@@ -700,40 +702,36 @@ TEST(SessionServiceProtocol, AppendValidatesTestCount) {
 
 // --------------------------------------------------- session verbs on TCP --
 
-struct SessionBackend : net::NetServer::Backend {
-  DiagnosisService* svc = nullptr;
-  SessionService* session = nullptr;
-  DiagnosisService& service() override { return *svc; }
+ServiceOptions session_test_options() {
+  ServiceOptions o;
+  o.threads = 1;
+  o.batch = 1;
+  o.cache = 0;
+  return o;
+}
+
+// A backend without session support: the base handle_session() refuses.
+class NoSessionBackend final : public net::NetServer::Backend {
+ public:
+  NoSessionBackend() : service_(shared_store(), session_test_options()) {}
+  DiagnosisService& service() override { return service_; }
   bool handle_admin(const std::vector<std::string>&, std::ostream&) override {
     return false;
   }
-  bool handle_session(const std::string& frame_text,
-                      std::ostream& out) override {
-    if (session == nullptr) return false;
-    session->handle(frame_text, out);
-    return true;
-  }
+
+ private:
+  DiagnosisService service_;
 };
 
 class SessionTestServer {
  public:
-  explicit SessionTestServer(bool with_session = true) {
-    ServiceOptions o;
-    o.threads = 1;
-    o.batch = 1;
-    o.cache = 0;
-    service_ = std::make_unique<DiagnosisService>(shared_store(), o);
-    if (with_session) {
-      session_ = std::make_unique<SessionService>(
-          [cache = std::make_shared<SessionEngineCache>()]() {
-            return cache->get(shared_store());
-          });
-      backend_.session = session_.get();
-    }
-    backend_.svc = service_.get();
+  explicit SessionTestServer(std::unique_ptr<net::NetServer::Backend> backend =
+                                 std::make_unique<net::StoreBackend>(
+                                     shared_store(), session_test_options()))
+      : backend_(std::move(backend)) {
     net::NetServerOptions nopts;
     nopts.tcp_port = 0;
-    server_ = std::make_unique<net::NetServer>(backend_, nopts);
+    server_ = std::make_unique<net::NetServer>(*backend_, nopts);
     server_->start();
     thread_ = std::thread([this] { server_->run(); });
   }
@@ -748,9 +746,7 @@ class SessionTestServer {
   }
 
  private:
-  std::unique_ptr<DiagnosisService> service_;
-  std::unique_ptr<SessionService> session_;
-  SessionBackend backend_;
+  std::unique_ptr<net::NetServer::Backend> backend_;
   std::unique_ptr<net::NetServer> server_;
   std::thread thread_;
 };
@@ -791,7 +787,7 @@ TEST(NetSessionVerbs, TcpRepliesMatchDirectServiceText) {
 }
 
 TEST(NetSessionVerbs, UnsupportedBackendSaysSo) {
-  SessionTestServer server(/*with_session=*/false);
+  SessionTestServer server(std::make_unique<NoSessionBackend>());
   net::Client client = server.connect();
   const net::Reply reply = client.request("session begin T\nend\n");
   ASSERT_TRUE(reply.error);
