@@ -3,10 +3,11 @@
 // Compiled with -mavx2 in its own translation unit so the rest of the
 // library stays baseline-ISA; runtime selection happens in dispatch().
 //
-// Row pointers are 64-byte aligned (SignatureStore contract) but the
-// observation/care operands come from plain BitVec vectors, so every load
-// is unaligned (_mm256_loadu_si256) — on every AVX2 core this costs
-// nothing when the address happens to be aligned.
+// Row pointers are only 8-byte aligned (SignatureStore rows are whole
+// 64-bit words, not cache lines) and the observation/care operands come
+// from plain BitVec vectors, so every load is unaligned
+// (_mm256_loadu_si256) — on every AVX2 core this costs nothing when the
+// address happens to be aligned.
 #include "store/kernels.h"
 
 #if defined(SDDICT_KERNELS_AVX2)

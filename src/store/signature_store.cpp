@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -23,7 +22,11 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'D', 'S', 'T', 'O', 'R', 'E', '1'};
 constexpr std::uint32_t kByteOrder = 0x01020304;
-constexpr std::uint32_t kVersion = 1;
+// Version 2 (the only one written) pads each row to whole 64-bit words;
+// version 1 padded it to 64 bytes. Both load.
+constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersionV1 = 1;
+constexpr std::uint64_t kV1RowAlign = 64;
 
 // Fixed header offsets (see signature_store.h for the map).
 constexpr std::size_t kOffMagic = 0;
@@ -56,6 +59,26 @@ std::uint64_t round_up(std::uint64_t v, std::uint64_t align) {
   return (v + align - 1) / align * align;
 }
 
+// Bits per row of a store of this kind (kFull rows are u32 lanes).
+std::uint64_t row_bits(StoreKind kind, std::uint64_t num_tests,
+                       std::uint64_t rank) {
+  switch (kind) {
+    case StoreKind::kPassFail:
+    case StoreKind::kSameDifferent: return num_tests;
+    case StoreKind::kMultiBaseline: return num_tests * rank;
+    case StoreKind::kFull: return num_tests * 32;
+  }
+  return 0;
+}
+
+// The one row stride a file of this version may carry for sig_bits-bit
+// rows.
+std::uint64_t row_stride(std::uint32_t version, std::uint64_t sig_bits) {
+  return round_up((sig_bits + 7) / 8, version == kVersionV1
+                                          ? kV1RowAlign
+                                          : SignatureStore::kRowAlign);
+}
+
 void put32(std::byte* p, std::size_t off, std::uint32_t v) {
   std::memcpy(p + off, &v, 4);
 }
@@ -80,18 +103,18 @@ struct ImageSpec {
   std::uint64_t num_tests = 0;
   std::uint64_t num_outputs = 0;
   std::uint64_t rank = 1;
-  std::uint64_t sig_bits = 0;
-  // Writes one row into its zero-initialized row_stride-byte slot.
-  std::function<void(FaultId, std::byte*)> fill_row;
   std::vector<std::byte> baselines;
 };
 
-std::vector<std::uint64_t> make_image(const ImageSpec& spec,
-                                      std::size_t* bytes_out) {
+// Lays out a current-version image; fill_row(f, dst) writes fault f's row
+// into its zero-initialized slot.
+template <class FillRow>
+std::vector<std::uint64_t> make_image(const ImageSpec& spec, FillRow fill_row) {
   if (spec.num_faults == 0 || spec.num_tests == 0)
     fail("cannot build a store from an empty dictionary");
-  const std::uint64_t stride =
-      round_up((spec.sig_bits + 7) / 8, SignatureStore::kRowAlign);
+  const std::uint64_t sig_bits =
+      row_bits(spec.kind, spec.num_tests, spec.rank);
+  const std::uint64_t stride = row_stride(kVersion, sig_bits);
   const std::uint64_t rows_size = spec.num_faults * stride;
   const std::uint64_t rows_pad = round_up(rows_size, SignatureStore::kPageSize);
   const std::uint64_t bl_size = spec.baselines.size();
@@ -111,7 +134,7 @@ std::vector<std::uint64_t> make_image(const ImageSpec& spec,
   put64(p, kOffNumTests, spec.num_tests);
   put64(p, kOffNumOutputs, spec.num_outputs);
   put64(p, kOffRank, spec.rank);
-  put64(p, kOffSigBits, spec.sig_bits);
+  put64(p, kOffSigBits, sig_bits);
   put64(p, kOffRowStride, stride);
   put32(p, kOffSectionCount, 2);
   put64(p, kOffSections + 0, rows_off);
@@ -120,7 +143,7 @@ std::vector<std::uint64_t> make_image(const ImageSpec& spec,
   put64(p, kOffSections + kSectionEntry + 8, bl_size);
 
   for (FaultId f = 0; f < spec.num_faults; ++f)
-    spec.fill_row(f, p + rows_off + f * stride);
+    fill_row(f, p + rows_off + f * stride);
   if (bl_size > 0) std::memcpy(p + bl_off, spec.baselines.data(), bl_size);
 
   Crc32 rows_crc;
@@ -132,8 +155,6 @@ std::vector<std::uint64_t> make_image(const ImageSpec& spec,
   Crc32 header_crc;
   header_crc.update(p, kOffHeaderCrc);
   put32(p, kOffHeaderCrc, header_crc.value());
-
-  *bytes_out = static_cast<std::size_t>(total);
   return image;
 }
 
@@ -187,12 +208,9 @@ SignatureStore SignatureStore::build(const PassFailDictionary& d) {
   spec.num_faults = d.num_faults();
   spec.num_tests = d.num_tests();
   spec.num_outputs = d.num_outputs();
-  spec.sig_bits = d.num_tests();
-  spec.fill_row = [&d](FaultId f, std::byte* dst) { fill_bit_row(d.row(f), dst); };
-  std::size_t bytes = 0;
-  auto image = make_image(spec, &bytes);
-  (void)bytes;
-  return adopt(std::move(image));
+  return adopt(make_image(spec, [&d](FaultId f, std::byte* dst) {
+    fill_bit_row(d.row(f), dst);
+  }));
 }
 
 SignatureStore SignatureStore::build(const SameDifferentDictionary& d) {
@@ -202,11 +220,10 @@ SignatureStore SignatureStore::build(const SameDifferentDictionary& d) {
   spec.num_faults = d.num_faults();
   spec.num_tests = d.num_tests();
   spec.num_outputs = d.num_outputs();
-  spec.sig_bits = d.num_tests();
-  spec.fill_row = [&d](FaultId f, std::byte* dst) { fill_bit_row(d.row(f), dst); };
   spec.baselines = ids_to_bytes(d.baselines().data(), d.baselines().size());
-  std::size_t bytes = 0;
-  return adopt(make_image(spec, &bytes));
+  return adopt(make_image(spec, [&d](FaultId f, std::byte* dst) {
+    fill_bit_row(d.row(f), dst);
+  }));
 }
 
 SignatureStore SignatureStore::build(const MultiBaselineDictionary& d) {
@@ -217,8 +234,6 @@ SignatureStore SignatureStore::build(const MultiBaselineDictionary& d) {
   spec.num_tests = d.num_tests();
   spec.num_outputs = d.num_outputs();
   spec.rank = d.baselines_per_test();
-  spec.sig_bits = d.num_tests() * d.baselines_per_test();
-  spec.fill_row = [&d](FaultId f, std::byte* dst) { fill_bit_row(d.row(f), dst); };
   // Per-test set sizes, then a fixed rank-wide id grid (unused slots 0).
   const std::size_t k = d.num_tests();
   const std::size_t r = d.baselines_per_test();
@@ -229,8 +244,9 @@ SignatureStore SignatureStore::build(const MultiBaselineDictionary& d) {
     for (std::size_t l = 0; l < bs.size(); ++l) meta[k + t * r + l] = bs[l];
   }
   spec.baselines = ids_to_bytes(meta.data(), meta.size());
-  std::size_t bytes = 0;
-  return adopt(make_image(spec, &bytes));
+  return adopt(make_image(spec, [&d](FaultId f, std::byte* dst) {
+    fill_bit_row(d.row(f), dst);
+  }));
 }
 
 SignatureStore SignatureStore::build(const FullDictionary& d) {
@@ -240,13 +256,10 @@ SignatureStore SignatureStore::build(const FullDictionary& d) {
   spec.num_faults = d.num_faults();
   spec.num_tests = d.num_tests();
   spec.num_outputs = d.num_outputs();
-  spec.sig_bits = static_cast<std::uint64_t>(d.num_tests()) * 32;
-  spec.fill_row = [&d](FaultId f, std::byte* dst) {
+  return adopt(make_image(spec, [&d](FaultId f, std::byte* dst) {
     for (std::size_t t = 0; t < d.num_tests(); ++t)
       put32(dst, 4 * t, d.entry(f, t));
-  };
-  std::size_t bytes = 0;
-  return adopt(make_image(spec, &bytes));
+  }));
 }
 
 SignatureStore SignatureStore::build(const FirstFailDictionary& d) {
@@ -256,14 +269,11 @@ SignatureStore SignatureStore::build(const FirstFailDictionary& d) {
   spec.num_faults = d.num_faults();
   spec.num_tests = d.num_tests();
   spec.num_outputs = d.num_outputs();
-  spec.sig_bits = d.num_tests();
-  spec.fill_row = [&d](FaultId f, std::byte* dst) {
+  return adopt(make_image(spec, [&d](FaultId f, std::byte* dst) {
     auto* words = reinterpret_cast<std::uint64_t*>(dst);
     for (std::size_t t = 0; t < d.num_tests(); ++t)
       if (d.entry(f, t) != 0) words[t >> 6] |= std::uint64_t{1} << (t & 63);
-  };
-  std::size_t bytes = 0;
-  return adopt(make_image(spec, &bytes));
+  }));
 }
 
 SignatureStore SignatureStore::build(const DetectionListDictionary& d,
@@ -279,12 +289,9 @@ SignatureStore SignatureStore::build(const DetectionListDictionary& d,
   spec.num_faults = d.num_faults();
   spec.num_tests = d.num_tests();
   spec.num_outputs = num_outputs;
-  spec.sig_bits = d.num_tests();
-  spec.fill_row = [&rows](FaultId f, std::byte* dst) {
+  return adopt(make_image(spec, [&rows](FaultId f, std::byte* dst) {
     fill_bit_row(rows[f], dst);
-  };
-  std::size_t bytes = 0;
-  return adopt(make_image(spec, &bytes));
+  }));
 }
 
 SignatureStore SignatureStore::select_tests(
@@ -306,30 +313,6 @@ SignatureStore SignatureStore::select_tests(
   spec.num_tests = nk;
   spec.num_outputs = num_outputs_;
   spec.rank = rank_;
-  switch (kind_) {
-    case StoreKind::kPassFail:
-    case StoreKind::kSameDifferent: spec.sig_bits = nk; break;
-    case StoreKind::kMultiBaseline: spec.sig_bits = nk * rank_; break;
-    case StoreKind::kFull: spec.sig_bits = std::uint64_t{nk} * 32; break;
-  }
-  if (kind_ == StoreKind::kFull) {
-    spec.fill_row = [this, &keep](FaultId f, std::byte* dst) {
-      const ResponseId* src = full_row(f);
-      for (std::size_t i = 0; i < keep.size(); ++i)
-        put32(dst, 4 * i, src[keep[i]]);
-    };
-  } else {
-    const std::size_t group = kind_ == StoreKind::kMultiBaseline ? rank_ : 1;
-    spec.fill_row = [this, &keep, group](FaultId f, std::byte* dst) {
-      auto* words = reinterpret_cast<std::uint64_t*>(dst);
-      for (std::size_t i = 0; i < keep.size(); ++i)
-        for (std::size_t l = 0; l < group; ++l) {
-          if (!row_bit(f, keep[i] * group + l)) continue;
-          const std::size_t bit = i * group + l;
-          words[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-        }
-    };
-  }
   if (kind_ == StoreKind::kSameDifferent) {
     std::vector<ResponseId> bl(nk);
     for (std::size_t i = 0; i < nk; ++i) bl[i] = baselines()[keep[i]];
@@ -346,8 +329,23 @@ SignatureStore SignatureStore::select_tests(
     }
     spec.baselines = ids_to_bytes(meta.data(), meta.size());
   }
-  std::size_t bytes = 0;
-  return adopt(make_image(spec, &bytes));
+  if (kind_ == StoreKind::kFull)
+    return adopt(make_image(spec, [this, &keep](FaultId f, std::byte* dst) {
+      const ResponseId* src = full_row(f);
+      for (std::size_t i = 0; i < keep.size(); ++i)
+        put32(dst, 4 * i, src[keep[i]]);
+    }));
+  const std::size_t group = kind_ == StoreKind::kMultiBaseline ? rank_ : 1;
+  return adopt(
+      make_image(spec, [this, &keep, group](FaultId f, std::byte* dst) {
+        auto* words = reinterpret_cast<std::uint64_t*>(dst);
+        for (std::size_t i = 0; i < keep.size(); ++i)
+          for (std::size_t l = 0; l < group; ++l) {
+            if (!row_bit(f, keep[i] * group + l)) continue;
+            const std::size_t bit = i * group + l;
+            words[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+          }
+      }));
 }
 
 SignatureStore SignatureStore::concat_tests(const SignatureStore& a,
@@ -378,32 +376,6 @@ SignatureStore SignatureStore::concat_tests(const SignatureStore& a,
   spec.num_tests = nt;
   spec.num_outputs = a.num_outputs_;
   spec.rank = a.rank_;
-  switch (a.kind_) {
-    case StoreKind::kPassFail:
-    case StoreKind::kSameDifferent: spec.sig_bits = nt; break;
-    case StoreKind::kMultiBaseline: spec.sig_bits = nt * a.rank_; break;
-    case StoreKind::kFull: spec.sig_bits = std::uint64_t{nt} * 32; break;
-  }
-  if (a.kind_ == StoreKind::kFull) {
-    spec.fill_row = [&a, &b](FaultId f, std::byte* dst) {
-      std::memcpy(dst, a.full_row(f), a.num_tests_ * 4);
-      std::memcpy(dst + 4 * a.num_tests_, b.full_row(f), b.num_tests_ * 4);
-    };
-  } else {
-    const std::size_t group =
-        a.kind_ == StoreKind::kMultiBaseline ? a.rank_ : 1;
-    spec.fill_row = [&a, &b, group](FaultId f, std::byte* dst) {
-      auto* words = reinterpret_cast<std::uint64_t*>(dst);
-      const std::size_t a_bits = a.num_tests_ * group;
-      for (std::size_t i = 0; i < a_bits; ++i)
-        if (a.row_bit(f, i)) words[i >> 6] |= std::uint64_t{1} << (i & 63);
-      for (std::size_t i = 0; i < b.num_tests_ * group; ++i) {
-        if (!b.row_bit(f, i)) continue;
-        const std::size_t bit = a_bits + i;
-        words[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-      }
-    };
-  }
   if (a.kind_ == StoreKind::kSameDifferent) {
     std::vector<ResponseId> bl(nt);
     for (std::size_t t = 0; t < a.num_tests_; ++t) bl[t] = a.baselines()[t];
@@ -413,8 +385,9 @@ SignatureStore SignatureStore::concat_tests(const SignatureStore& a,
   } else if (a.kind_ == StoreKind::kMultiBaseline) {
     const std::size_t r = a.rank_;
     std::vector<std::uint32_t> meta(nt + nt * r, 0);
-    for (const SignatureStore* s : {&a, &b}) {
-      const std::size_t off = s == &a ? 0 : a.num_tests_;
+    // By position, not identity: concat_tests(x, x) is a valid call.
+    for (const auto& [s, off] : {std::pair{&a, std::size_t{0}},
+                                 std::pair{&b, a.num_tests_}}) {
       const auto* counts =
           reinterpret_cast<const std::uint32_t*>(s->baselines_);
       const auto* grid = reinterpret_cast<const ResponseId*>(s->baselines_ +
@@ -427,8 +400,23 @@ SignatureStore SignatureStore::concat_tests(const SignatureStore& a,
     }
     spec.baselines = ids_to_bytes(meta.data(), meta.size());
   }
-  std::size_t bytes = 0;
-  return adopt(make_image(spec, &bytes));
+  if (a.kind_ == StoreKind::kFull)
+    return adopt(make_image(spec, [&a, &b](FaultId f, std::byte* dst) {
+      std::memcpy(dst, a.full_row(f), a.num_tests_ * 4);
+      std::memcpy(dst + 4 * a.num_tests_, b.full_row(f), b.num_tests_ * 4);
+    }));
+  const std::size_t group = a.kind_ == StoreKind::kMultiBaseline ? a.rank_ : 1;
+  return adopt(make_image(spec, [&a, &b, group](FaultId f, std::byte* dst) {
+    auto* words = reinterpret_cast<std::uint64_t*>(dst);
+    const std::size_t a_bits = a.num_tests_ * group;
+    for (std::size_t i = 0; i < a_bits; ++i)
+      if (a.row_bit(f, i)) words[i >> 6] |= std::uint64_t{1} << (i & 63);
+    for (std::size_t i = 0; i < b.num_tests_ * group; ++i) {
+      if (!b.row_bit(f, i)) continue;
+      const std::size_t bit = a_bits + i;
+      words[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    }
+  }));
 }
 
 void SignatureStore::parse() {
@@ -440,7 +428,7 @@ void SignatureStore::parse() {
     fail("bad magic (not a signature store)");
   if (get32(p, kOffByteOrder) != kByteOrder) fail("byte-order mismatch");
   const std::uint32_t version = get32(p, kOffVersion);
-  if (version != kVersion)
+  if (version != kVersion && version != kVersionV1)
     fail("unsupported version " + std::to_string(version));
   Crc32 hc;
   hc.update(p, kOffHeaderCrc);
@@ -470,17 +458,11 @@ void SignatureStore::parse() {
   if (kind_ != StoreKind::kMultiBaseline && rank != 1)
     fail("rank " + std::to_string(rank) + " on a non-multi-baseline store");
 
-  std::uint64_t expected_sig = 0;
-  switch (kind_) {
-    case StoreKind::kPassFail:
-    case StoreKind::kSameDifferent: expected_sig = nt; break;
-    case StoreKind::kMultiBaseline: expected_sig = nt * rank; break;
-    case StoreKind::kFull: expected_sig = nt * 32; break;
-  }
+  const std::uint64_t expected_sig = row_bits(kind_, nt, rank);
   if (sig != expected_sig)
     fail("signature width mismatch (header says " + std::to_string(sig) +
          " bits, kind implies " + std::to_string(expected_sig) + ")");
-  if (stride != round_up((sig + 7) / 8, kRowAlign))
+  if (stride != row_stride(version, sig))
     fail("bad row stride " + std::to_string(stride));
 
   if (get32(p, kOffSectionCount) != 2) fail("bad section count");

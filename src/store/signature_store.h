@@ -6,13 +6,13 @@
 //   page 0 (4096 B, little-endian, fixed offsets):
 //     0    char[8]  magic "SDSTORE1"
 //     8    u32      byte-order marker 0x01020304 (rejects cross-endian files)
-//     12   u32      version (1)
+//     12   u32      version (2; version-1 files still load)
 //     16   u32      kind    (row layout: pass/fail, same/diff, multi, full)
 //     20   u32      source  (dictionary type the store was built from)
 //     24   u64      num_faults        40  u64  num_outputs
 //     32   u64      num_tests         48  u64  rank (1 unless multibaseline)
 //     56   u64      signature_bits (bits per row)
-//     64   u64      row_stride_bytes (multiple of 64)
+//     64   u64      row_stride_bytes (row bytes rounded up to 8; 64 in v1)
 //     72   u32      section_count (2)
 //     80   2 x {u64 offset, u64 size, u32 crc32, u32 pad}  section table
 //     4092 u32      crc32 of bytes [0, 4092)
@@ -26,10 +26,16 @@
 //   exactly one checksum: any flip or truncation anywhere surfaces as a
 //   named std::runtime_error, never a crash or a silent wrong answer.
 //
-// Rows sit at page-aligned offsets with a 64-byte-aligned stride, so a
+// A row takes ceil(signature_bits / 64) whole 64-bit words, zero past its
+// last bit, and nothing more: the rows section holds the dictionary's bits
+// plus at most 63 padding bits per row. It starts page-aligned, so a
 // zero-copy mmap (POSIX; a portable read-whole-file fallback exists) hands
-// out 64-byte-aligned row pointers and the kernel never touches a split
-// word. Stores are buildable from every dictionary type: pass/fail,
+// out 8-byte-aligned row pointers and the kernel never touches a split
+// word; kernels use unaligned loads and read exactly a row's words.
+// Version-1 files padded each row to 64 bytes; the loader accepts exactly
+// that stride under version 1 and the word stride under version 2, and
+// every writer (build, select_tests, concat_tests) emits version 2.
+// Stores are buildable from every dictionary type: pass/fail,
 // same/different, multi-baseline and full natively; first-fail and
 // detection-list via their pass/fail projection (their per-test bit is
 // exactly "detects the fault"). The four native kinds reconstruct their
@@ -87,7 +93,7 @@ enum class StoreLoadMode {
 class SignatureStore {
  public:
   static constexpr std::size_t kPageSize = 4096;
-  static constexpr std::size_t kRowAlign = 64;
+  static constexpr std::size_t kRowAlign = 8;  // one 64-bit word
 
   // Builders. Every defect in the inputs (empty dictionary) throws
   // std::runtime_error. The built store is immediately re-validated
@@ -146,8 +152,8 @@ class SignatureStore {
   std::size_t rank() const { return rank_; }
   std::uint64_t signature_bits() const { return sig_bits_; }
 
-  // Zero-copy row access (the kernel operand). 64-byte aligned when the
-  // store is mmap'd or freshly built; at least 8-byte aligned always.
+  // Zero-copy row access (the kernel operand): ceil(signature_bits / 64)
+  // words, 8-byte aligned.
   const std::uint64_t* row_words(FaultId f) const {
     return reinterpret_cast<const std::uint64_t*>(
         rows_ + static_cast<std::uint64_t>(f) * row_stride_);

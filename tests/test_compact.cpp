@@ -549,6 +549,22 @@ TEST(Minimize, RealisticShrinkOnBenchmark) {
             FullDictionary::build(fx.rm).indistinguished_pairs());
 }
 
+// Store rows are whole 64-bit words, so a compaction that takes a row
+// from two words to one must shrink the store image. s344 with 80 random
+// tests compacts to fewer than 64 kept tests under pass/fail.
+TEST(StoreCompaction, ShrinksTheStoreWhenKeptTestsCrossAWordBoundary) {
+  const RandomTests fx(80, 1, "s344");
+  const SignatureStore store =
+      SignatureStore::build(PassFailDictionary::build(fx.rm));
+  const CompactionResult cr = compact_store(store);
+  ASSERT_GT(cr.report.tests_before, 64u);
+  ASSERT_LE(cr.report.tests_after, 64u);
+  EXPECT_EQ(cr.report.pairs_after, cr.report.pairs_before);
+  EXPECT_EQ(cr.report.bytes_before, store.size_bytes());
+  EXPECT_EQ(cr.report.bytes_after, cr.store.size_bytes());
+  EXPECT_LT(cr.report.bytes_after, cr.report.bytes_before);
+}
+
 // -------------------------------------------------------- delta repository --
 
 TEST(DeltaRepository, MaterializationIsByteIdenticalToDirectBuild) {

@@ -20,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,6 +39,7 @@
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
 #include "faultinject.h"
+#include "repo/repository.h"
 #include "sim/response.h"
 #include "sim/testset.h"
 #include "store/kernels.h"
@@ -983,11 +987,264 @@ TEST(SignatureStoreFuzz, NamedErrorsBehindTheChecksum) {
             std::string::npos);
   EXPECT_NE(message_of(patch_header(bytes, 24, 0)).find("empty"),
             std::string::npos);
-  EXPECT_NE(message_of(patch_header(bytes, 64, 8)).find("row stride"),
-            std::string::npos);
+  // tiny_matrix rows are 2 bits: the version-2 stride is 8 and the
+  // version-1 stride 64. Every other stride is rejected under each version.
+  for (const std::uint32_t stride : {0u, 16u, 64u}) {
+    const std::string what = message_of(patch_header(bytes, 64, stride));
+    EXPECT_NE(what.find("row stride"), std::string::npos) << stride;
+    EXPECT_EQ(what.rfind("SignatureStore:", 0), 0u) << what;
+  }
+  const std::string v1_stride8 = message_of(patch_header(bytes, 12, 1));
+  EXPECT_NE(v1_stride8.find("row stride"), std::string::npos) << v1_stride8;
+  EXPECT_EQ(v1_stride8.rfind("SignatureStore:", 0), 0u) << v1_stride8;
   // Every named error carries the format prefix.
   EXPECT_EQ(message_of(patch_header(bytes, 12, 99)).rfind("SignatureStore:", 0),
             0u);
+}
+
+
+// ------------------------------------------------------- version-1 stores --
+
+// Format version 1 padded every row to 64 bytes; version 2, the one the
+// writers emit, pads it to one 64-bit word. Version-1 files must keep
+// loading and answering exactly as before.
+
+std::uint32_t crc_of(const std::string& bytes) {
+  Crc32 crc;
+  crc.update(bytes);
+  return crc.value();
+}
+
+std::uint32_t header_u32(const std::string& bytes, std::size_t off) {
+  std::uint32_t v;
+  std::memcpy(&v, bytes.data() + off, 4);
+  return v;
+}
+
+std::uint64_t header_u64(const std::string& bytes, std::size_t off) {
+  std::uint64_t v;
+  std::memcpy(&v, bytes.data() + off, 8);
+  return v;
+}
+
+// Re-lays a store's image in format version 1: the same header with
+// version 1 and a 64-byte row stride, the sections re-paged and every CRC
+// recomputed. LegacyRelayMatchesTheVersion1Writer pins it to the old
+// writer's output.
+std::string legacy_v1_bytes(const SignatureStore& s) {
+  constexpr std::uint64_t kPage = SignatureStore::kPageSize;
+  const auto round_up = [](std::uint64_t v, std::uint64_t a) {
+    return (v + a - 1) / a * a;
+  };
+  const std::string v2 = s.to_bytes();
+  const std::uint64_t v2_stride = header_u64(v2, 64);
+  const std::uint64_t v2_bl_off = header_u64(v2, 104);
+  const std::uint64_t bl_size = header_u64(v2, 112);
+  const std::uint64_t stride = round_up((s.signature_bits() + 7) / 8, 64);
+  const std::uint64_t rows_size = s.num_faults() * stride;
+  const std::uint64_t rows_pad = round_up(rows_size, kPage);
+  const std::uint64_t bl_off = kPage + rows_pad;
+  const std::uint64_t bl_pad = round_up(bl_size, kPage);
+
+  std::string v1(bl_off + bl_pad, '\0');
+  std::memcpy(v1.data(), v2.data(), kPage);
+  for (FaultId f = 0; f < s.num_faults(); ++f)
+    std::memcpy(v1.data() + kPage + f * stride, s.row_words(f), v2_stride);
+  std::memcpy(v1.data() + bl_off, v2.data() + v2_bl_off, bl_size);
+  const auto put32 = [&v1](std::size_t off, std::uint32_t v) {
+    std::memcpy(v1.data() + off, &v, 4);
+  };
+  const auto put64 = [&v1](std::size_t off, std::uint64_t v) {
+    std::memcpy(v1.data() + off, &v, 8);
+  };
+  const auto crc_range = [&v1](std::uint64_t off, std::uint64_t n) {
+    return crc_of(v1.substr(off, n));
+  };
+  put32(12, 1);
+  put64(64, stride);
+  put64(88, rows_size);
+  put64(104, bl_off);
+  put32(96, crc_range(kPage, rows_pad));
+  put32(120, crc_range(bl_off, bl_pad));
+  put32(4092, crc_range(0, 4092));
+  return v1;
+}
+
+// CRC-32 of the whole image the version-1 writer produced for each
+// tiny_matrix store, recorded from that writer.
+TEST(StoreFormatV1, LegacyRelayMatchesTheVersion1Writer) {
+  const ResponseMatrix m = tiny_matrix();
+  EXPECT_EQ(crc_of(legacy_v1_bytes(
+                SignatureStore::build(PassFailDictionary::build(m)))),
+            0xbd6c38f4u);
+  EXPECT_EQ(crc_of(legacy_v1_bytes(SignatureStore::build(
+                SameDifferentDictionary::build(m, {1, 0})))),
+            0xf5d65f61u);
+  EXPECT_EQ(crc_of(legacy_v1_bytes(SignatureStore::build(
+                MultiBaselineDictionary::build(m, {{0, 1}, {0, 2}})))),
+            0x3aae656fu);
+  EXPECT_EQ(crc_of(legacy_v1_bytes(
+                SignatureStore::build(FullDictionary::build(m)))),
+            0xacb602d5u);
+}
+
+// One store of every native kind, built over rm() (70 tests: two-word
+// rows, so the version-1 and version-2 strides differ).
+struct KindStore {
+  const char* what;
+  SignatureStore store;
+};
+
+std::vector<KindStore> every_kind_store() {
+  std::vector<KindStore> out;
+  out.push_back({"pass/fail",
+                 SignatureStore::build(PassFailDictionary::build(rm()))});
+  out.push_back({"same/different",
+                 SignatureStore::build(SameDifferentDictionary::build(
+                     rm(), nontrivial_baselines(rm())))});
+  out.push_back({"multi-baseline",
+                 SignatureStore::build(MultiBaselineDictionary::build(
+                     rm(), ragged_baselines(rm())))});
+  out.push_back({"full", SignatureStore::build(FullDictionary::build(rm()))});
+  return out;
+}
+
+void expect_same_contents(const SignatureStore& a, const SignatureStore& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.kind(), b.kind()) << what;
+  EXPECT_EQ(a.source(), b.source()) << what;
+  ASSERT_EQ(a.num_faults(), b.num_faults()) << what;
+  ASSERT_EQ(a.num_tests(), b.num_tests()) << what;
+  EXPECT_EQ(a.num_outputs(), b.num_outputs()) << what;
+  ASSERT_EQ(a.rank(), b.rank()) << what;
+  ASSERT_EQ(a.signature_bits(), b.signature_bits()) << what;
+  const std::size_t words = (a.signature_bits() + 63) / 64;
+  for (FaultId f = 0; f < a.num_faults(); ++f)
+    ASSERT_EQ(std::memcmp(a.row_words(f), b.row_words(f), words * 8), 0)
+        << what << " row " << f;
+  if (a.kind() == StoreKind::kSameDifferent) {
+    for (std::size_t t = 0; t < a.num_tests(); ++t)
+      ASSERT_EQ(a.baselines()[t], b.baselines()[t]) << what << " test " << t;
+  }
+  if (a.kind() == StoreKind::kMultiBaseline) {
+    for (std::size_t t = 0; t < a.num_tests(); ++t) {
+      const auto [ids_a, count_a] = a.baseline_set(t);
+      const auto [ids_b, count_b] = b.baseline_set(t);
+      ASSERT_EQ(count_a, count_b) << what << " test " << t;
+      for (std::size_t l = 0; l < a.rank(); ++l)
+        ASSERT_EQ(ids_a[l], ids_b[l]) << what << " test " << t;
+    }
+  }
+}
+
+TEST(StoreFormatV1, WritersEmitWordStrideVersion2) {
+  for (const KindStore& k : every_kind_store()) {
+    const std::string bytes = k.store.to_bytes();
+    EXPECT_EQ(header_u32(bytes, 12), 2u) << k.what;
+    EXPECT_EQ(header_u64(bytes, 64), 8 * ((k.store.signature_bits() + 63) / 64))
+        << k.what;
+    const std::string v1 = legacy_v1_bytes(k.store);
+    EXPECT_EQ(header_u32(v1, 12), 1u) << k.what;
+    EXPECT_EQ(header_u64(v1, 64), ((k.store.signature_bits() + 7) / 8 + 63) /
+                                      64 * 64)
+        << k.what;
+    // The rows section (its size is at byte 88) shrinks.
+    EXPECT_LT(header_u64(bytes, 88), header_u64(v1, 88)) << k.what;
+  }
+}
+
+TEST(StoreFormatV1, LoadsInEveryModeWithTheSameRowsAndBaselines) {
+  for (const KindStore& k : every_kind_store()) {
+    const std::string v1 = legacy_v1_bytes(k.store);
+    const SignatureStore from_bytes = SignatureStore::from_bytes(v1);
+    EXPECT_EQ(from_bytes.to_bytes(), v1) << k.what;
+    expect_same_contents(from_bytes, k.store, std::string(k.what) + " bytes");
+
+    const std::string path = temp_path("sdstore_v1.bin");
+    from_bytes.write_file(path);
+    const SignatureStore streamed =
+        SignatureStore::load_file(path, StoreLoadMode::kStream);
+    expect_same_contents(streamed, k.store, std::string(k.what) + " stream");
+#if defined(__unix__) || defined(__APPLE__)
+    const SignatureStore mapped =
+        SignatureStore::load_file(path, StoreLoadMode::kMmap);
+    EXPECT_TRUE(mapped.mapped());
+    expect_same_contents(mapped, k.store, std::string(k.what) + " mmap");
+#endif
+    std::remove(path.c_str());
+  }
+}
+
+TEST(StoreFormatV1, DiagnosesIdenticallyToVersion2) {
+  const FullDictionary full = FullDictionary::build(rm());
+  const std::vector<KindStore> stores = every_kind_store();
+  std::vector<SignatureStore> legacy;
+  for (const KindStore& k : stores)
+    legacy.push_back(SignatureStore::from_bytes(legacy_v1_bytes(k.store)));
+  Rng rng(11);
+  for (int i = 0; i < 6; ++i) {
+    const auto f = static_cast<FaultId>(rng.below(full.num_faults()));
+    std::vector<Observed> obs = fault_observation(full, f);
+    if (i % 2 == 1) {
+      obs[rng.below(obs.size())] = Observed::missing();
+      obs[rng.below(obs.size())] = Observed::of(kUnknownResponse);
+    }
+    for (std::size_t s = 0; s < stores.size(); ++s)
+      expect_same_diagnosis(diagnose_observed(legacy[s], obs),
+                            diagnose_observed(stores[s].store, obs),
+                            stores[s].what);
+  }
+}
+
+TEST(StoreFormatV1, ColumnSurgeryIsByteIdenticalToVersion2) {
+  // Kept columns cross the word boundary at 64 and leave a one-word row.
+  std::vector<std::size_t> keep;
+  for (std::size_t t = 0; t < rm().num_tests(); t += 3) keep.push_back(t);
+  for (const KindStore& k : every_kind_store()) {
+    const SignatureStore v1 =
+        SignatureStore::from_bytes(legacy_v1_bytes(k.store));
+    EXPECT_EQ(v1.select_tests(keep).to_bytes(),
+              k.store.select_tests(keep).to_bytes())
+        << k.what;
+    EXPECT_EQ(SignatureStore::concat_tests(v1, k.store).to_bytes(),
+              SignatureStore::concat_tests(k.store, k.store).to_bytes())
+        << k.what;
+  }
+}
+
+// A repository whose full base version was published in format version 1,
+// followed by an append delta written in version 2, materializes as the
+// version-2 image concat_tests builds from the version-2 halves.
+TEST(StoreFormatV1, RepositoryDeltaChainOnAVersion1Base) {
+  const std::string dir = ::testing::TempDir() + "sddict_store_v1_repo";
+  std::filesystem::remove_all(dir);
+  DictionaryRepository repo(dir);
+  for (const KindStore& k : every_kind_store()) {
+    const StoreSource source = k.store.source();
+    const std::size_t half = k.store.num_tests() / 2;
+    std::vector<std::size_t> lo, hi;
+    for (std::size_t t = 0; t < k.store.num_tests(); ++t)
+      (t < half ? lo : hi).push_back(t);
+    const SignatureStore base = k.store.select_tests(lo);
+    const SignatureStore added = k.store.select_tests(hi);
+    const SignatureStore legacy_base =
+        SignatureStore::from_bytes(legacy_v1_bytes(base));
+
+    const ManifestEntry e1 = repo.publish("c", source, legacy_base, {});
+    std::ifstream in(dir + "/" + e1.file, std::ios::binary);
+    const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_EQ(header_u32(on_disk, 12), 1u) << k.what;
+    repo.publish_delta("c", source, &added, {}, {});
+
+    const std::string materialized = repo.acquire("c", source)->to_bytes();
+    EXPECT_EQ(header_u32(materialized, 12), 2u) << k.what;
+    EXPECT_EQ(materialized,
+              SignatureStore::concat_tests(base, added).to_bytes())
+        << k.what;
+    EXPECT_EQ(materialized, k.store.to_bytes()) << k.what;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
