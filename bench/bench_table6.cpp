@@ -19,6 +19,11 @@
 //   --threads=N                worker threads for fault simulation and
 //                              Procedure-1 restarts (0 = all cores;
 //                              results are identical at any thread count)
+//
+// Every printed row is checked against the resolution ordering the paper's
+// claims rest on, in indistinguished pairs: s/d <= p/f, full <= s/d and
+// s/d-repl <= s/d-rand. A row that breaks one is named on stderr and the
+// run exits 1.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -97,6 +102,7 @@ int main(int argc, char** argv) {
 
   Timer total;
   std::vector<bench::JsonRecord> records;
+  int violations = 0;
   for (const auto& name : circuits) {
     if (!is_known_benchmark(name)) {
       std::fprintf(stderr, "skipping unknown circuit '%s'\n", name.c_str());
@@ -113,6 +119,15 @@ int main(int argc, char** argv) {
       const ExperimentRow row = run_experiment(nl, kind, cfg);
       std::printf("%s\n", format_experiment_row(row).c_str());
       std::fflush(stdout);
+      const auto check = [&](bool ok, const char* rule) {
+        if (ok) return;
+        std::fprintf(stderr, "FAIL: %s %s breaks %s\n", row.circuit.c_str(),
+                     row.ttype.c_str(), rule);
+        ++violations;
+      };
+      check(row.indist_sd_rand <= row.indist_passfail, "s/d <= p/f");
+      check(row.indist_full <= row.indist_sd_repl, "full <= s/d");
+      check(row.indist_sd_repl <= row.indist_sd_rand, "s/d-repl <= s/d-rand");
       const auto record = [&](const std::string& metric, double value) {
         records.push_back({"bench_table6", row.circuit,
                            cfg.baseline.num_threads,
@@ -141,5 +156,5 @@ int main(int argc, char** argv) {
     std::printf("wrote %zu records to %s\n", records.size(),
                 json_path.c_str());
   }
-  return 0;
+  return violations == 0 ? 0 : 1;
 }

@@ -33,12 +33,21 @@ std::uint64_t hybrid_same_different_bits(std::uint64_t num_tests,
 
 std::vector<DiagnosisMatch> rank_matches(std::vector<DiagnosisMatch> all,
                                          std::size_t max_results) {
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.mismatches != b.mismatches ? a.mismatches < b.mismatches
-                                        : a.fault < b.fault;
-  });
-  if (all.size() > max_results) all.resize(max_results);
-  return all;
+  // Stable counting pass by mismatch count: start[c] is the output
+  // position of the next candidate with count c. Candidates arrive in
+  // ascending fault order, so equal counts keep it, and only the first
+  // max_results positions are written.
+  std::uint32_t top = 0;
+  for (const DiagnosisMatch& m : all) top = std::max(top, m.mismatches);
+  std::vector<std::size_t> start(static_cast<std::size_t>(top) + 2, 0);
+  for (const DiagnosisMatch& m : all) ++start[m.mismatches + std::size_t{1}];
+  for (std::size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
+  std::vector<DiagnosisMatch> ranked(std::min(all.size(), max_results));
+  for (const DiagnosisMatch& m : all) {
+    const std::size_t pos = start[m.mismatches]++;
+    if (pos < ranked.size()) ranked[pos] = m;
+  }
+  return ranked;
 }
 
 void check_observation_size(const char* what, std::size_t expected,

@@ -49,8 +49,12 @@ struct DiagnosisMatch {
   std::uint32_t effective_tests = 0;
 };
 
-// The shared tail of every dictionary's diagnose(): order candidates by
-// (mismatches, fault id) and keep the best max_results.
+// The shared tail of every dictionary's diagnose() and of the engine's
+// ranking: order candidates by (mismatches, fault id) and keep the best
+// max_results. Precondition: `all` is in ascending fault order (every
+// caller collects candidates in a sweep over fault ids). The ordering is
+// then a stable counting pass over the mismatch counts, linear in the
+// candidates plus the largest count, which is at most the row's width.
 std::vector<DiagnosisMatch> rank_matches(std::vector<DiagnosisMatch> all,
                                          std::size_t max_results);
 

@@ -83,24 +83,31 @@ SessionDiagnosis SessionEngine::diagnose(const SessionEvidence& ev,
   }
 
   // Candidate scoring on the packed rows: per-fault coverage of the
-  // failing set and conflicts against the passing set, one kernel call
-  // each (obs = zeros, so masked_hamming counts row & mask). Setup and
-  // the greedy incumbent below run un-polled — they are the bounded floor
-  // an anytime result always includes; only the exponential search polls.
+  // failing set over every row, then conflicts against the passing set
+  // over the relevant rows, one batched kernel call per block of rows
+  // (obs = zeros, so masked_hamming counts row & mask). Setup and the
+  // greedy incumbent below run un-polled — they are the bounded floor an
+  // anytime result always includes; only the exponential search polls.
   const kernels::KernelTable& kt = kernels::dispatch();
   const std::vector<std::uint64_t> zeros(words, 0);
   const std::uint64_t* fm = fail_mask.words().data();
   const std::uint64_t* pm = pass_mask.words().data();
+  std::vector<std::uint32_t> covers(num_faults_);
+  kernels::masked_hamming_strided(kt, detect_.fail.data(), words, num_faults_,
+                                  zeros.data(), fm, words, covers.data());
   std::vector<std::uint32_t> relevant;       // faults covering >= 1 failure
-  std::vector<std::uint32_t> conflicts_of;   // indexed like `relevant`
+  std::vector<const std::uint64_t*> relevant_rows;  // indexed like `relevant`
   std::vector<std::uint64_t> detected(words, 0);  // union of relevant rows
   for (FaultId f = 0; f < num_faults_; ++f) {
+    if (covers[f] == 0) continue;
     const std::uint64_t* row = detect_.row(f);
-    if (kt.masked_hamming(row, zeros.data(), fm, words) == 0) continue;
     relevant.push_back(static_cast<std::uint32_t>(f));
-    conflicts_of.push_back(kt.masked_hamming(row, zeros.data(), pm, words));
+    relevant_rows.push_back(row);
     for (std::size_t w = 0; w < words; ++w) detected[w] |= row[w];
   }
+  std::vector<std::uint32_t> conflicts_of(relevant.size());
+  kt.masked_hamming_rows(relevant_rows.data(), relevant_rows.size(),
+                         zeros.data(), pm, words, conflicts_of.data());
 
   // Failing tests no modeled fault detects cannot constrain the cover;
   // report them and search over the rest.

@@ -11,6 +11,7 @@
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
 #include "sim/logicsim.h"
+#include "util/rng.h"
 
 namespace sddict {
 namespace {
@@ -452,6 +453,41 @@ TEST(Dictionaries, PartitionMatchesBruteForceRowComparison) {
     for (FaultId b = a + 1; b < fx.faults.size(); ++b)
       if (pf.row(a) == pf.row(b)) ++brute;
   EXPECT_EQ(pf.indistinguished_pairs(), brute);
+}
+
+// rank_matches' counting pass against a comparison sort on (mismatches,
+// fault id): candidate lists in ascending fault order, as every caller
+// builds them, with gaps in the fault ids, mass ties, a count of 0 and
+// large counts, truncated at every interesting max_results.
+TEST(Dictionaries, RankMatchesEqualsSortByCountThenFault) {
+  Rng rng(77);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<DiagnosisMatch> all;
+    const std::size_t n = rng.below(300);
+    const std::uint32_t spread = 1 + static_cast<std::uint32_t>(rng.below(
+                                         iter % 2 == 0 ? 4 : 2000));
+    FaultId f = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      f += 1 + static_cast<FaultId>(rng.below(3));
+      all.push_back({f, static_cast<std::uint32_t>(rng.below(spread)), 0, 7});
+    }
+    std::vector<DiagnosisMatch> sorted = all;
+    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+      return a.mismatches != b.mismatches ? a.mismatches < b.mismatches
+                                          : a.fault < b.fault;
+    });
+    for (const std::size_t max_results :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{10}, n,
+          n + 5}) {
+      const std::vector<DiagnosisMatch> got = rank_matches(all, max_results);
+      ASSERT_EQ(got.size(), std::min(n, max_results));
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].fault, sorted[i].fault) << iter << " #" << i;
+        EXPECT_EQ(got[i].mismatches, sorted[i].mismatches) << iter << " #" << i;
+        EXPECT_EQ(got[i].effective_tests, 7u);
+      }
+    }
+  }
 }
 
 TEST(FromRows, WidthValidated) {
