@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bmcirc/registry.h"
-#include "core/baseline.h"
 #include "core/procedure2.h"
 #include "diag/observe.h"
 #include "diag/report.h"
@@ -70,15 +69,8 @@ int main(int argc, char** argv) {
 
     const auto full = FullDictionary::build(rm);
     const auto pf = PassFailDictionary::build(rm);
-    BaselineSelectionConfig cfg;
-    cfg.calls1 = 10;
-    cfg.seed = seed;
-    cfg.target_indistinguished = full.indistinguished_pairs();
-    const auto p1 = run_procedure1(rm, cfg);
-    Procedure2Config p2cfg;
-    p2cfg.target_indistinguished = full.indistinguished_pairs();
-    const auto p2 = run_procedure2(rm, p1.baselines, p2cfg);
-    const auto sd = SameDifferentDictionary::build(rm, p2.baselines);
+    const auto sd = SameDifferentDictionary::build(
+        rm, construct(rm, {.calls1 = 10, .seed = seed}).proc2.baselines);
 
     double cand[3] = {0, 0, 0};
     std::size_t hits[3] = {0, 0, 0};

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bmcirc/registry.h"
-#include "core/baseline.h"
 #include "core/multibaseline.h"
 #include "core/procedure2.h"
 #include "diag/engine.h"
@@ -128,12 +127,9 @@ int main(int argc, char** argv) {
   BaselineSelectionConfig cfg;
   cfg.calls1 = calls1;
   cfg.seed = seed;
-  cfg.target_indistinguished = full.indistinguished_pairs();
-  const auto p1 = run_procedure1(rm, cfg);
-  Procedure2Config p2cfg;
-  p2cfg.target_indistinguished = full.indistinguished_pairs();
-  const auto p2 = run_procedure2(rm, p1.baselines, p2cfg);
-  const auto sd = SameDifferentDictionary::build(rm, p2.baselines);
+  const Construction c = construct(rm, cfg);
+  const auto sd = SameDifferentDictionary::build(rm, c.proc2.baselines);
+  cfg.target_indistinguished = c.full_pairs;
   const auto mbsel = run_multi_baseline(rm, 2, cfg);
   const auto mb = MultiBaselineDictionary::build(rm, mbsel.baselines);
   const auto ff = FirstFailDictionary::build(rm);

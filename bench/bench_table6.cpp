@@ -14,7 +14,6 @@
 //   --ttype=diag|10det|both    test-set types to run (default both)
 //   --calls1=N --lower=N       Procedure-1 parameters (paper: 100 / 10)
 //   --ndetect=N                n for the n-detection test set (paper: 10)
-//   --proc2=false              skip Procedure 2
 //   --seed=N
 //   --threads=N                worker threads for fault simulation and
 //                              Procedure-1 restarts (0 = all cores;
@@ -46,7 +45,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: bench_table6 [--circuits=s208,s298,...]\n"
                "  [--ttype=diag|10det|both] [--calls1=N] [--lower=N]\n"
-               "  [--ndetect=N] [--proc2=false] [--seed=N] [--threads=N]\n"
+               "  [--ndetect=N] [--seed=N] [--threads=N]\n"
                "  [--verbose=true] [--json=FILE]\n");
   return 1;
 }
@@ -56,8 +55,8 @@ int usage() {
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const auto unknown = args.unknown_flags(
-      {"circuits", "ttype", "calls1", "lower", "ndetect", "proc2", "seed",
-       "threads", "verbose", "json"});
+      {"circuits", "ttype", "calls1", "lower", "ndetect", "seed", "threads",
+       "verbose", "json"});
   if (!unknown.empty()) {
     for (const auto& f : unknown)
       std::fprintf(stderr, "unknown flag --%s\n", f.c_str());
@@ -88,7 +87,6 @@ int main(int argc, char** argv) {
     cfg.ndetect.n = args.get_int("ndetect", 10, 1, 1000);
     cfg.ndetect.seed = cfg.baseline.seed;
     cfg.diag.seed = cfg.baseline.seed;
-    cfg.run_proc2 = args.get_bool("proc2", true);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage();

@@ -32,7 +32,6 @@
 #include <string>
 
 #include "bmcirc/registry.h"
-#include "core/baseline.h"
 #include "core/procedure2.h"
 #include "diag/engine.h"
 #include "diag/observe.h"
@@ -243,16 +242,8 @@ int main(int argc, char** argv) {
   const FullDictionary full = FullDictionary::build(rm);
   const PassFailDictionary pf = PassFailDictionary::build(rm);
 
-  BaselineSelectionConfig bcfg;
-  bcfg.calls1 = 10;
-  bcfg.seed = seed;
-  bcfg.target_indistinguished = full.indistinguished_pairs();
-  const BaselineSelection p1 = run_procedure1(rm, bcfg);
-  Procedure2Config p2cfg;
-  p2cfg.target_indistinguished = full.indistinguished_pairs();
-  const Procedure2Result p2 = run_procedure2(rm, p1.baselines, p2cfg);
-  const SameDifferentDictionary sd =
-      SameDifferentDictionary::build(rm, p2.baselines);
+  const SameDifferentDictionary sd = SameDifferentDictionary::build(
+      rm, construct(rm, {.calls1 = 10, .seed = seed}).proc2.baselines);
 
   // Session mode: multiple runs, multiple injected defects, or a saved
   // sessionlog (the file format is sniffed from the header line).

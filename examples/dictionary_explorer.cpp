@@ -12,10 +12,8 @@
 
 #include "bmcirc/registry.h"
 #include "compact/compact.h"
-#include "core/baseline.h"
 #include "core/hybrid.h"
 #include "core/procedure2.h"
-#include "dict/full_dict.h"
 #include "dict/passfail_dict.h"
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
@@ -166,7 +164,6 @@ int main(int argc, char** argv) {
   const ResponseMatrix rm = build_response_matrix(
       nl, faults, tests,
       {.num_threads = threads, .budget = pipeline.nested()}, &rm_status);
-  const FullDictionary full = FullDictionary::build(rm);
   const PassFailDictionary pf = PassFailDictionary::build(rm);
 
   BaselineSelectionConfig bcfg;
@@ -174,39 +171,37 @@ int main(int argc, char** argv) {
   bcfg.calls1 = calls1;
   bcfg.seed = seed;
   bcfg.num_threads = threads;
-  bcfg.target_indistinguished = full.indistinguished_pairs();
   bcfg.budget = pipeline.nested();
-  const BaselineSelection p1 = run_procedure1(rm, bcfg);
-  Procedure2Config p2cfg;
-  p2cfg.target_indistinguished = full.indistinguished_pairs();
-  p2cfg.budget = pipeline.nested();
-  const Procedure2Result p2 = run_procedure2(rm, p1.baselines, p2cfg);
+  const Construction c = construct(rm, bcfg, {.budget = pipeline.nested()});
   const SameDifferentDictionary sd =
-      SameDifferentDictionary::build(rm, p2.baselines);
+      SameDifferentDictionary::build(rm, c.proc2.baselines);
 
   std::printf("\n%zu faults, %zu tests (%s), %zu outputs\n", faults.size(),
               tests.size(), ttype.c_str(), nl.num_outputs());
   std::printf("%-16s %14s %22s\n", "dictionary", "size (bits)",
               "indistinguished pairs");
   std::printf("%-16s %14llu %22llu\n", "full",
-              (unsigned long long)full.size_bits(),
-              (unsigned long long)full.indistinguished_pairs());
+              (unsigned long long)dictionary_sizes(tests.size(), faults.size(),
+                                                   nl.num_outputs())
+                  .full_bits,
+              (unsigned long long)c.full_pairs);
   std::printf("%-16s %14llu %22llu\n", "pass/fail",
               (unsigned long long)pf.size_bits(),
               (unsigned long long)pf.indistinguished_pairs());
   std::printf("%-16s %14llu %22llu  (Procedure 1: %llu over %zu calls)\n",
               "same/different", (unsigned long long)sd.size_bits(),
               (unsigned long long)sd.indistinguished_pairs(),
-              (unsigned long long)p1.indistinguished_pairs, p1.calls_used);
+              (unsigned long long)c.proc1.indistinguished_pairs,
+              c.proc1.calls_used);
   if (deadline > 0)
     std::printf("deadline %.3fs: testgen=%s faultsim=%s proc1=%s proc2=%s\n",
                 deadline, stop_reason_name(testgen_reason),
                 stop_reason_name(rm_status.stop_reason),
-                stop_reason_name(p1.stop_reason),
-                stop_reason_name(p2.stop_reason));
+                stop_reason_name(c.proc1.stop_reason),
+                stop_reason_name(c.proc2.stop_reason));
 
   if (hybrid) {
-    const HybridResult hyb = hybridize_baselines(rm, p2.baselines);
+    const HybridResult hyb = hybridize_baselines(rm, c.proc2.baselines);
     std::printf("%-16s %14llu %22llu  (%zu/%zu baselines stored)\n",
                 "s/d hybrid", (unsigned long long)hyb.size_bits,
                 (unsigned long long)hyb.indistinguished_pairs,
@@ -298,15 +293,9 @@ int main(int argc, char** argv) {
         const TestSet appended = extended.subset(idx);
         const ResponseMatrix arm = build_response_matrix(
             nl, faults, appended, {.num_threads = threads});
-        const FullDictionary afull = FullDictionary::build(arm);
-        BaselineSelectionConfig abcfg = bcfg;
-        abcfg.target_indistinguished = afull.indistinguished_pairs();
-        const BaselineSelection ap1 = run_procedure1(arm, abcfg);
-        Procedure2Config ap2cfg;
-        ap2cfg.target_indistinguished = afull.indistinguished_pairs();
-        const Procedure2Result ap2 = run_procedure2(arm, ap1.baselines, ap2cfg);
-        const SignatureStore added = SignatureStore::build(
-            SameDifferentDictionary::build(arm, ap2.baselines));
+        const SignatureStore added =
+            SignatureStore::build(SameDifferentDictionary::build(
+                arm, construct(arm, bcfg).proc2.baselines));
         prov.tests_hash = hash_hex(hash_testset(extended));
         prov.config += ",append=" + std::to_string(append_n);
         const ManifestEntry entry = repo.publish_delta(

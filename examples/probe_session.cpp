@@ -10,11 +10,9 @@
 #include <stdexcept>
 
 #include "bmcirc/registry.h"
-#include "core/baseline.h"
 #include "core/procedure2.h"
 #include "diag/observe.h"
 #include "diag/probe.h"
-#include "dict/full_dict.h"
 #include "dict/samediff_dict.h"
 #include "fault/bridge.h"
 #include "fault/collapse.h"
@@ -65,16 +63,8 @@ int main(int argc, char** argv) {
   const TestSet tests = generate_diagnostic(nl, faults, dopts).tests;
   const ResponseMatrix rm = build_response_matrix(nl, faults, tests);
 
-  BaselineSelectionConfig cfg;
-  cfg.calls1 = 10;
-  cfg.seed = seed;
-  cfg.target_indistinguished =
-      FullDictionary::build(rm).indistinguished_pairs();
-  const auto p1 = run_procedure1(rm, cfg);
-  Procedure2Config p2cfg;
-  p2cfg.target_indistinguished = cfg.target_indistinguished;
-  const auto p2 = run_procedure2(rm, p1.baselines, p2cfg);
-  const auto sd = SameDifferentDictionary::build(rm, p2.baselines);
+  const auto sd = SameDifferentDictionary::build(
+      rm, construct(rm, {.calls1 = 10, .seed = seed}).proc2.baselines);
 
   // The hidden defect: a sampled non-feedback bridge.
   Rng rng(seed + 42);

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bmcirc/embedded.h"
-#include "core/baseline.h"
 #include "core/procedure2.h"
 #include "dict/full_dict.h"
 #include "dict/passfail_dict.h"
@@ -49,16 +48,10 @@ int main(int argc, char** argv) {
   const FullDictionary full = FullDictionary::build(rm);
   const PassFailDictionary pf = PassFailDictionary::build(rm);
 
-  BaselineSelectionConfig cfg;
-  cfg.lower = 10;
-  cfg.calls1 = 100;
-  cfg.target_indistinguished = full.indistinguished_pairs();
-  const BaselineSelection p1 = run_procedure1(rm, cfg);
-  Procedure2Config p2cfg;
-  p2cfg.target_indistinguished = full.indistinguished_pairs();
-  const Procedure2Result p2 = run_procedure2(rm, p1.baselines, p2cfg);
+  // Procedures 1 and 2 select the same/different baselines.
+  const Construction c = construct(rm, {.lower = 10, .calls1 = 100});
   const SameDifferentDictionary sd =
-      SameDifferentDictionary::build(rm, p2.baselines);
+      SameDifferentDictionary::build(rm, c.proc2.baselines);
 
   std::printf("%-16s %12s %22s\n", "dictionary", "size (bits)",
               "indistinguished pairs");

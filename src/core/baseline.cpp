@@ -126,8 +126,13 @@ BaselineSelection procedure1_single(const ResponseMatrix& rm,
 
 BaselineSelection run_procedure1(const ResponseMatrix& rm,
                                  const BaselineSelectionConfig& config) {
+  return run_procedure1(rm, response_classes(rm), config);
+}
+
+BaselineSelection run_procedure1(const ResponseMatrix& rm,
+                                 const ResponseClasses& classes,
+                                 const BaselineSelectionConfig& config) {
   BudgetScope scope(config.budget);
-  const ResponseClasses classes = response_classes(rm);
 
   // Restart r is a pure function of (rm, config, r): restart 0 uses the
   // natural test order, restart r > 0 a permutation drawn from

@@ -37,8 +37,8 @@ struct BaselineSelectionConfig {
   std::size_t lower = 10;    // the paper's LOWER
   std::size_t calls1 = 100;  // the paper's CALLS1 (consecutive no-improve restarts)
   std::uint64_t seed = 1;
-  // Stop restarting once this many indistinguished pairs is reached — pass
-  // the full-dictionary count, which lower-bounds every dictionary.
+  // Stop restarting once this many indistinguished pairs is reached;
+  // construct() sets the full-dictionary count, the floor under them all.
   std::uint64_t target_indistinguished = 0;
   // Worker threads for the restart loop; 0 = hardware concurrency. Restarts
   // are independent by construction — restart r shuffles the test order with
@@ -82,6 +82,13 @@ struct ResponseClasses {
   std::vector<std::uint32_t> weight;
 
   std::size_t size() const { return rep.size(); }
+  // Fault pairs no dictionary can split: the sum over classes of
+  // C(weight, 2), the full dictionary's indistinguished pairs.
+  std::uint64_t indistinguished_pairs() const {
+    std::uint64_t pairs = 0;
+    for (std::uint32_t w : weight) pairs += Partition::pairs(w);
+    return pairs;
+  }
   // Every fault its own class of weight 1.
   static ResponseClasses singletons(std::size_t num_faults);
 };
@@ -167,7 +174,11 @@ BaselineSelection procedure1_single(const ResponseMatrix& rm,
 // worse than the pass/fail dictionary (all-fault-free baselines). Ties
 // between restarts go to the lowest restart index. Runs restarts on
 // config.num_threads threads with a deterministic reduction — see
-// BaselineSelectionConfig.
+// BaselineSelectionConfig. `classes` must be response_classes(rm); the
+// two-argument form computes them.
+BaselineSelection run_procedure1(const ResponseMatrix& rm,
+                                 const ResponseClasses& classes,
+                                 const BaselineSelectionConfig& config);
 BaselineSelection run_procedure1(const ResponseMatrix& rm,
                                  const BaselineSelectionConfig& config);
 

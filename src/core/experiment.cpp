@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "dict/full_dict.h"
 #include "dict/passfail_dict.h"
 #include "fault/collapse.h"
 #include "util/log.h"
@@ -51,26 +50,14 @@ ExperimentRow run_experiment(const Netlist& nl, TestSetKind kind,
   for (std::uint32_t count : rm.detection_counts())
     if (count == 0) ++row.num_undetected;
 
-  row.indist_full = FullDictionary::build(rm).indistinguished_pairs();
+  const Construction c = construct(rm, config.baseline, config.proc2);
+  row.indist_full = c.full_pairs;
   row.indist_passfail = PassFailDictionary::build(rm).indistinguished_pairs();
-
-  timer.reset();
-  BaselineSelectionConfig bconfig = config.baseline;
-  bconfig.target_indistinguished = row.indist_full;
-  const BaselineSelection p1 = run_procedure1(rm, bconfig);
-  row.seconds_proc1 = timer.seconds();
-  row.indist_sd_rand = p1.indistinguished_pairs;
-  row.proc1_calls = p1.calls_used;
-
-  row.indist_sd_repl = row.indist_sd_rand;
-  if (config.run_proc2 && row.indist_sd_rand > row.indist_full) {
-    timer.reset();
-    Procedure2Config p2config = config.proc2;
-    p2config.target_indistinguished = row.indist_full;
-    const Procedure2Result p2 = run_procedure2(rm, p1.baselines, p2config);
-    row.seconds_proc2 = timer.seconds();
-    row.indist_sd_repl = p2.indistinguished_pairs;
-  }
+  row.seconds_proc1 = c.proc1_s;
+  row.seconds_proc2 = c.proc2_s;
+  row.indist_sd_rand = c.proc1.indistinguished_pairs;
+  row.indist_sd_repl = c.proc2.indistinguished_pairs;
+  row.proc1_calls = c.proc1.calls_used;
   row.proc2_improved = row.indist_sd_repl < row.indist_sd_rand;
 
   LOG_INFO << "table6 " << row.circuit << " " << row.ttype << ": |T|="

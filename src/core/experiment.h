@@ -21,10 +21,9 @@ const char* test_set_kind_name(TestSetKind k);  // "diag" / "10det"
 
 struct ExperimentConfig {
   BaselineSelectionConfig baseline;
-  Procedure2Config proc2;  // target_indistinguished is filled by the driver
+  Procedure2Config proc2;  // construct() sets both targets
   NDetectOptions ndetect;
   DiagSetOptions diag;
-  bool run_proc2 = true;
 };
 
 struct ExperimentRow {

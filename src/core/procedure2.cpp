@@ -5,12 +5,14 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/baseline.h"
 #include "core/sigset.h"
 #include "dict/partition.h"
 #include "util/flat_interner.h"
 #include "util/log.h"
+#include "util/timer.h"
 
 namespace sddict {
 namespace {
@@ -207,12 +209,19 @@ std::uint64_t count_indistinguished(const ResponseMatrix& rm,
 Procedure2Result run_procedure2(const ResponseMatrix& rm,
                                 std::vector<ResponseId> initial_baselines,
                                 const Procedure2Config& config) {
+  return run_procedure2(rm, response_classes(rm), std::move(initial_baselines),
+                        config);
+}
+
+Procedure2Result run_procedure2(const ResponseMatrix& rm,
+                                const ResponseClasses& classes,
+                                std::vector<ResponseId> initial_baselines,
+                                const Procedure2Config& config) {
   check_baselines(rm, initial_baselines, "run_procedure2");
   const std::size_t k = rm.num_tests();
 
   // One weighted row per full-response class: faults with identical full
   // rows share every signature, so they always fall into the same group.
-  const ResponseClasses classes = response_classes(rm);
   const std::vector<std::uint32_t>& rep = classes.rep;
   const std::size_t m = classes.size();
 
@@ -286,6 +295,29 @@ Procedure2Result run_procedure2(const ResponseMatrix& rm,
   LOG_DEBUG << "procedure2: " << res.replacements << " replacements over "
             << res.sweeps << " sweeps, " << dup << " pairs indistinguished";
   return res;
+}
+
+Construction construct(const ResponseMatrix& rm,
+                       BaselineSelectionConfig baseline,
+                       Procedure2Config proc2) {
+  // Deadlines count from this call: each procedure gets what is left of
+  // its budget when it starts.
+  const BudgetScope clock1(baseline.budget);
+  const BudgetScope clock2(proc2.budget);
+  Construction c;
+  Timer timer;
+  const ResponseClasses classes = response_classes(rm);
+  c.full_pairs = classes.indistinguished_pairs();
+  baseline.target_indistinguished = c.full_pairs;
+  proc2.target_indistinguished = c.full_pairs;
+  baseline.budget.max_seconds = clock1.nested().max_seconds;
+  c.proc1 = run_procedure1(rm, classes, baseline);
+  c.proc1_s = timer.seconds();
+  timer.reset();
+  proc2.budget.max_seconds = clock2.nested().max_seconds;
+  c.proc2 = run_procedure2(rm, classes, c.proc1.baselines, proc2);
+  c.proc2_s = timer.seconds();
+  return c;
 }
 
 }  // namespace sddict

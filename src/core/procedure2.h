@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/baseline.h"
 #include "sim/response.h"
 #include "util/budget.h"
 
@@ -41,8 +42,8 @@ struct Procedure2Result {
 };
 
 struct Procedure2Config {
-  // Stop once this many indistinguished pairs is reached (pass the
-  // full-dictionary count; nothing can do better).
+  // Stop once this many indistinguished pairs is reached (construct() sets
+  // the full-dictionary count; nothing can do better).
   std::uint64_t target_indistinguished = 0;
   std::size_t max_sweeps = 100;
   // Deadline/cancellation, polled before each test column within a sweep.
@@ -50,10 +51,34 @@ struct Procedure2Config {
 };
 
 // Throws std::invalid_argument unless there is one initial baseline per
-// test and each is a response id of its test.
+// test and each is a response id of its test. `classes` must be
+// response_classes(rm); the form without them computes them.
+Procedure2Result run_procedure2(const ResponseMatrix& rm,
+                                const ResponseClasses& classes,
+                                std::vector<ResponseId> initial_baselines,
+                                const Procedure2Config& config = {});
 Procedure2Result run_procedure2(const ResponseMatrix& rm,
                                 std::vector<ResponseId> initial_baselines,
                                 const Procedure2Config& config = {});
+
+// The paper's construction chain on one response matrix.
+struct Construction {
+  // The full dictionary's indistinguished pairs: the floor under every
+  // dictionary, and both procedures' target.
+  std::uint64_t full_pairs = 0;
+  BaselineSelection proc1;
+  Procedure2Result proc2;  // proc2.baselines are the dictionary's baselines
+  double proc1_s = 0;      // response classes, floor and Procedure 1
+  double proc2_s = 0;
+};
+
+// Groups the faults into response classes once, takes the full-dictionary
+// floor from them, overwrites both configs' target_indistinguished with it,
+// then runs Procedure 1 and Procedure 2 from Procedure 1's baselines. Both
+// budgets' deadlines run from this call, not from each procedure's start.
+Construction construct(const ResponseMatrix& rm,
+                       BaselineSelectionConfig baseline,
+                       Procedure2Config proc2 = {});
 
 // Exact (non-incremental) count of indistinguished pairs under a baseline
 // assignment; handy for verification. Validates `baselines` as

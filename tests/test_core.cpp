@@ -588,6 +588,9 @@ TEST(ResponseClasses, GroupsIdenticalRowsExactly) {
     std::vector<std::uint32_t> weight(classes.size(), 0);
     for (std::uint32_t e : class_of_faults(rm, classes)) ++weight[e];
     EXPECT_EQ(classes.weight, weight) << "trial=" << trial;
+    EXPECT_EQ(classes.indistinguished_pairs(),
+              FullDictionary::build(rm).indistinguished_pairs())
+        << "trial=" << trial;
     for (std::size_t e = 0; e < classes.size(); ++e) {
       // The representative is the lowest fault with its row, and distinct
       // classes have distinct rows.
@@ -759,6 +762,19 @@ TEST(Procedure1And2, PinnedOnBenchmarkCircuits) {
       EXPECT_EQ(p2.indistinguished_pairs, p.p2_indistinguished) << what;
       EXPECT_EQ(p2.distinguished_pairs, total - p.p2_indistinguished) << what;
       EXPECT_EQ(baseline_digest(p2.baselines), p.p2_digest) << what;
+
+      // construct() runs the same chain and must reproduce it; it sets
+      // both targets itself.
+      cfg.target_indistinguished = 0;
+      const Construction c = construct(rm, cfg, {});
+      EXPECT_EQ(c.full_pairs, full_pairs) << what;
+      EXPECT_EQ(c.proc1.calls_used, p.p1_calls) << what;
+      EXPECT_EQ(c.proc1.indistinguished_pairs, p.p1_indistinguished) << what;
+      EXPECT_EQ(baseline_digest(c.proc1.baselines), p.p1_digest) << what;
+      EXPECT_EQ(c.proc2.sweeps, p.p2_sweeps) << what;
+      EXPECT_EQ(c.proc2.replacements, p.p2_replacements) << what;
+      EXPECT_EQ(c.proc2.indistinguished_pairs, p.p2_indistinguished) << what;
+      EXPECT_EQ(baseline_digest(c.proc2.baselines), p.p2_digest) << what;
     }
   }
 }

@@ -88,10 +88,11 @@ TEST(Experiment, TenDetectGivesLargerTestSets) {
   EXPECT_GT(tdet.num_tests, diag.num_tests / 2);  // typically much larger
 }
 
-// The s208 and s298 diag rows of Table 6 exactly as bench_table6 prints
-// them at its default flags (CALLS1=10, LOWER=10, seed 1): the four
-// indistinguished-pair counts, pinned so a change to test generation,
-// fault simulation or Procedures 1 and 2 that moves the table is seen.
+// The s208, s298, s400 and s526 diag rows of Table 6 exactly as
+// bench_table6 prints them at its default flags (CALLS1=10, LOWER=10,
+// seed 1): the four indistinguished-pair counts, pinned so a change to
+// test generation, fault simulation or Procedures 1 and 2 that moves the
+// table is seen.
 TEST(Experiment, Table6DiagRowsPinned) {
   ExperimentConfig cfg;
   cfg.baseline.calls1 = 10;
@@ -99,7 +100,9 @@ TEST(Experiment, Table6DiagRowsPinned) {
     const char* circuit;
     std::uint64_t full, passfail, sd_rand, sd_repl;
   } rows[] = {{"s208", 1088, 1125, 1116, 1115},
-              {"s298", 1265, 1385, 1374, 1361}};
+              {"s298", 1265, 1385, 1374, 1361},
+              {"s400", 3196, 3308, 3281, 3248},
+              {"s526", 3368, 3528, 3508, 3476}};
   for (const auto& want : rows) {
     const ExperimentRow row = run_experiment(
         full_scan(load_benchmark(want.circuit)), TestSetKind::kDiagnostic, cfg);

@@ -397,6 +397,14 @@ TEST(AnytimePipeline, PreCancelledProcedure2KeepsInitialAssignment) {
   EXPECT_EQ(res.baselines, initial);
   EXPECT_EQ(res.replacements, 0u);
   EXPECT_EQ(res.indistinguished_pairs, count_indistinguished(rm, initial));
+
+  // construct() passes each procedure its own budget: Procedure 1 falls
+  // back to the pass/fail floor and Procedure 2 keeps that assignment.
+  const Construction c = construct(rm, {.budget = cancelled_budget()}, cfg);
+  EXPECT_EQ(c.proc1.stop_reason, StopReason::kCancelled);
+  EXPECT_EQ(c.proc2.stop_reason, StopReason::kCancelled);
+  EXPECT_EQ(c.proc2.baselines, c.proc1.baselines);
+  EXPECT_EQ(c.proc2.replacements, 0u);
 }
 
 // ------------------------------------------------------ fault injection --
