@@ -164,6 +164,15 @@ int main(int argc, char** argv) {
   const ResponseMatrix rm = build_response_matrix(
       nl, faults, tests,
       {.num_threads = threads, .budget = pipeline.nested()}, &rm_status);
+  // A partial matrix reads unsimulated faults as fault-free, so nothing
+  // built from it is a dictionary of this test set.
+  if (!rm_status.completed) {
+    std::fprintf(stderr,
+                 "deadline expired during fault simulation (%zu of %zu "
+                 "faults simulated)\n",
+                 rm_status.faults_simulated, faults.size());
+    return 1;
+  }
   const PassFailDictionary pf = PassFailDictionary::build(rm);
 
   BaselineSelectionConfig bcfg;

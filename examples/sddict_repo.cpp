@@ -103,19 +103,13 @@ int run_compact(DictionaryRepository& repo, const std::string& circuit,
 
 int run_squash(DictionaryRepository& repo, const std::string& circuit,
                StoreSource kind, std::size_t max_chain) {
-  const std::size_t chain = repo.chain_length(circuit, kind);
-  if (chain <= max_chain) {
-    std::cout << "squashed circuit=" << circuit
-              << " kind=" << store_source_name(kind)
-              << " version=" << repo.latest_version(circuit, kind)
-              << " chain_before=" << chain << " skipped=1\n";
-    return 0;
-  }
-  const ManifestEntry e = repo.squash(circuit, kind);
+  const SquashResult r = repo.squash(circuit, kind, max_chain);
   std::cout << "squashed circuit=" << circuit
-            << " kind=" << store_source_name(kind) << " version=" << e.version
-            << " chain_before=" << chain << " bytes=" << e.bytes
-            << " skipped=0\n";
+            << " kind=" << store_source_name(kind)
+            << " version=" << r.entry.version
+            << " chain_before=" << r.chain_before;
+  if (r.squashed) std::cout << " bytes=" << r.entry.bytes;
+  std::cout << " skipped=" << (r.squashed ? 0 : 1) << "\n";
   return 0;
 }
 

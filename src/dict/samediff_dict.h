@@ -46,10 +46,6 @@ class SameDifferentDictionary {
     return dictionary_sizes(num_tests_, rows_.size(), num_outputs_)
         .same_different_bits;
   }
-  std::uint64_t hybrid_size_bits() const {
-    return hybrid_same_different_bits(num_tests_, rows_.size(), num_outputs_,
-                                      num_nontrivial_baselines());
-  }
 
   const Partition& partition() const { return partition_; }
   std::uint64_t indistinguished_pairs() const {

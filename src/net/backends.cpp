@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "compact/repo_compact.h"
-#include "util/threadpool.h"
 
 namespace sddict::net {
 
@@ -107,14 +106,9 @@ bool RepoBackend::handle_admin(const std::vector<std::string>& tokens,
     for (auto& [key, s] : served_) {
       if (key.first != target) continue;
       // Chain maintenance: a reload of a chain deeper than max_chain
-      // squashes it first (on the maintenance pool; the blocking get
-      // keeps replies deterministic) so the swap lands on the collapsed
-      // store.
-      if (max_chain_ > 0 && repo_.chain_length(target, s.kind) > max_chain_) {
-        if (!maintenance_) maintenance_ = std::make_unique<ThreadPool>(1);
-        repo_.squash_async(*maintenance_, target, s.kind, max_chain_).get();
+      // squashes it first, so the swap lands on the collapsed store.
+      if (max_chain_ > 0 && repo_.squash(target, s.kind, max_chain_).squashed)
         ++squashed;
-      }
       swap_to_latest(target, s);
       ++swapped;
     }
@@ -164,13 +158,13 @@ bool RepoBackend::handle_admin(const std::vector<std::string>& tokens,
   } else if (verb == "!squash") {
     if (tokens.size() > 1) throw std::runtime_error("usage: !squash");
     Served& s = current();
-    const std::size_t chain_before = repo_.chain_length(circuit_, kind_);
-    const ManifestEntry e = repo_.squash(circuit_, kind_);
-    if (chain_before > 0) swap_to_latest(circuit_, s);
+    const SquashResult r = repo_.squash(circuit_, kind_);
+    if (r.squashed) swap_to_latest(circuit_, s);
     out << "squashed circuit=" << circuit_
-        << " kind=" << store_source_name(kind_) << " version=" << e.version
-        << " chain_before=" << chain_before << " bytes=" << e.bytes
-        << " swapped=" << (chain_before > 0 ? 1 : 0) << "\n";
+        << " kind=" << store_source_name(kind_)
+        << " version=" << r.entry.version
+        << " chain_before=" << r.chain_before << " bytes=" << r.entry.bytes
+        << " swapped=" << (r.squashed ? 1 : 0) << "\n";
   } else {
     throw std::runtime_error(
         "unknown admin verb " + verb +

@@ -33,10 +33,6 @@
 #include "repo/repository.h"
 #include "session/service.h"
 
-namespace sddict {
-class ThreadPool;
-}
-
 namespace sddict::net {
 
 // Session verbs for the backends below: one SessionService diagnosing
@@ -113,10 +109,8 @@ class RepoBackend final : public ServingBackend {
   std::string circuit_;
   StoreSource kind_;
   std::map<Key, Served> served_;
-  // Chains deeper than this are squashed in the background on !reload
-  // (0 = maintenance off). The pool exists only once needed.
+  // Chains deeper than this are squashed on !reload (0 = maintenance off).
   std::size_t max_chain_;
-  std::unique_ptr<ThreadPool> maintenance_;
 };
 
 }  // namespace sddict::net

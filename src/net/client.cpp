@@ -5,13 +5,11 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -66,27 +64,6 @@ Client Client::connect_tcp(const std::string& host, int port,
     ::close(fd);
     errno = e;
     throw_errno("connect " + host + ":" + std::to_string(port));
-  }
-  set_io_timeouts(fd, timeout_s);
-  return Client(fd);
-}
-
-Client Client::connect_unix(const std::string& path, double timeout_s) {
-  ::signal(SIGPIPE, SIG_IGN);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_UNIX)");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) {
-    ::close(fd);
-    throw std::runtime_error("socket path too long: " + path);
-  }
-  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    const int e = errno;
-    ::close(fd);
-    errno = e;
-    throw_errno("connect " + path);
   }
   set_io_timeouts(fd, timeout_s);
   return Client(fd);

@@ -1,9 +1,9 @@
-// Blocking client for the sddict_serve line protocol (TCP or Unix
-// socket): sends one datalog frame, reads the reply up to its closing
-// `done`, and understands the explicit `busy retry_after_ms=N` load-shed
-// reply — request_with_retry() honors the server's hint with capped,
-// jittered exponential backoff, which is the retry discipline the soak
-// generator (bench/bench_soak.cpp) drives thousands of requests through.
+// Blocking TCP client for the sddict_serve line protocol: sends one
+// datalog frame, reads the reply up to its closing `done`, and
+// understands the explicit `busy retry_after_ms=N` load-shed reply —
+// request_with_retry() honors the server's hint with capped, jittered
+// exponential backoff, which is the retry discipline the soak generator
+// (bench/bench_soak.cpp) drives thousands of requests through.
 //
 // Deliberately synchronous and single-connection: the concurrency in the
 // system lives server-side; clients are testers, chaos probes, and load
@@ -49,7 +49,6 @@ class Client {
   // server surfaces as an exception, not a hang.
   static Client connect_tcp(const std::string& host, int port,
                             double timeout_s = 30);
-  static Client connect_unix(const std::string& path, double timeout_s = 30);
 
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;

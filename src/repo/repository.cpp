@@ -384,14 +384,20 @@ std::size_t DictionaryRepository::chain_length_of(std::string_view circuit,
   return e ? chain_length_locked(*e) : 0;
 }
 
-ManifestEntry DictionaryRepository::squash(const std::string& circuit,
-                                           StoreSource kind, double build_ms) {
+SquashResult DictionaryRepository::squash(const std::string& circuit,
+                                          StoreSource kind,
+                                          std::size_t max_chain) {
   std::lock_guard<std::mutex> lock(mutex_);
   const ManifestEntry* latest = manifest_.find(circuit, kind);
   if (!latest)
     fail("cannot squash " + circuit + " x " + store_source_name(kind) +
          ": nothing cataloged");
-  if (!latest->is_delta) return *latest;
+  SquashResult r;
+  r.chain_before = chain_length_locked(*latest);
+  if (r.chain_before <= max_chain) {
+    r.entry = *latest;
+    return r;
+  }
 
   std::shared_ptr<const SignatureStore> flat = acquire_entry_locked(*latest);
   const std::string bytes = flat->to_bytes();
@@ -404,37 +410,10 @@ ManifestEntry DictionaryRepository::squash(const std::string& circuit,
   e.bytes = bytes.size();
   e.file_crc = crc32(bytes);
   e.provenance = latest->provenance;
-  e.build_ms = build_ms;
   e.built_unix = static_cast<std::uint64_t>(std::time(nullptr));
-  return commit_entry_locked(std::move(e), &bytes);
-}
-
-std::future<ManifestEntry> DictionaryRepository::squash_async(
-    ThreadPool& pool, std::string circuit, StoreSource kind,
-    std::size_t max_chain) {
-  auto prom = std::make_shared<std::promise<ManifestEntry>>();
-  std::future<ManifestEntry> fut = prom->get_future();
-  pool.submit([this, prom, circuit = std::move(circuit), kind, max_chain] {
-    try {
-      if (chain_length(circuit, kind) <= max_chain) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const ManifestEntry* e = manifest_.find(circuit, kind);
-        if (!e)
-          fail("cannot squash " + circuit + " x " + store_source_name(kind) +
-               ": nothing cataloged");
-        prom->set_value(*e);
-        return;
-      }
-      Timer timer;
-      // Re-checks under squash()'s own lock; a concurrent squash that
-      // already flattened the chain makes this a no-op returning latest.
-      ManifestEntry e = squash(circuit, kind, timer.millis());
-      prom->set_value(std::move(e));
-    } catch (...) {
-      prom->set_exception(std::current_exception());
-    }
-  });
-  return fut;
+  r.entry = commit_entry_locked(std::move(e), &bytes);
+  r.squashed = true;
+  return r;
 }
 
 std::future<ManifestEntry> DictionaryRepository::refresh_async(

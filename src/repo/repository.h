@@ -35,9 +35,8 @@
 // materialized chain is byte-identical to building the same test set from
 // scratch (the ctest gate). Materialized versions land in the same LRU
 // cache, so a chain is walked once, not per acquire. squash() republishes
-// the materialized latest as a fresh full version; squash_async() is the
-// background maintenance hook that squashes once a chain grows past
-// max_chain hops.
+// the materialized latest as a fresh full version once its chain is longer
+// than a caller's max_chain hops (0: any delta).
 #pragma once
 
 #include <atomic>
@@ -76,6 +75,13 @@ struct RepositoryStats {
 };
 
 std::string format_repository_stats(const RepositoryStats& s);
+
+// What DictionaryRepository::squash() found and did.
+struct SquashResult {
+  ManifestEntry entry;  // the new full version, or the unchanged latest
+  std::size_t chain_before = 0;  // delta hops of the latest before the call
+  bool squashed = false;         // true when a full version was published
+};
 
 class DictionaryRepository {
  public:
@@ -153,18 +159,12 @@ class DictionaryRepository {
   std::size_t chain_length_of(std::string_view circuit, StoreSource kind,
                               std::uint64_t version) const;
 
-  // Materializes the latest version and republishes it as a full store
-  // (the next version), collapsing the delta chain. Returns the existing
-  // entry unchanged when the latest is already full.
-  ManifestEntry squash(const std::string& circuit, StoreSource kind,
-                       double build_ms = 0);
-
-  // Background chain maintenance on the shared pool: squashes when the
-  // latest version sits more than `max_chain` delta hops from its full
-  // base, otherwise resolves with the existing latest entry.
-  std::future<ManifestEntry> squash_async(ThreadPool& pool, std::string circuit,
-                                          StoreSource kind,
-                                          std::size_t max_chain);
+  // Chain maintenance: when the latest version sits more than `max_chain`
+  // delta hops from its full base, materializes it and republishes it as a
+  // full store (the next version), collapsing the chain. Otherwise the
+  // latest entry comes back unchanged. Throws when nothing is cataloged.
+  SquashResult squash(const std::string& circuit, StoreSource kind,
+                      std::size_t max_chain = 0);
 
   RepositoryStats stats() const;
 

@@ -107,8 +107,6 @@ class SessionEngine {
   std::size_t num_faults() const { return num_faults_; }
   std::size_t num_tests() const { return num_tests_; }
 
-  // Accidental-detection index of f: how many tests detect it.
-  std::uint32_t ad_index(FaultId f) const { return ad_[f]; }
   // Definite pass/fail-projection detection bit.
   bool detects(FaultId f, std::size_t t) const;
 

@@ -26,12 +26,6 @@ void BatchSimulator::simulate(const std::vector<std::uint64_t>& input_words) {
   }
 }
 
-void BatchSimulator::output_words(std::vector<std::uint64_t>* out) const {
-  out->resize(nl_->num_outputs());
-  for (std::size_t o = 0; o < nl_->num_outputs(); ++o)
-    (*out)[o] = values_[nl_->outputs()[o]];
-}
-
 BitVec simulate_pattern(const Netlist& nl, const BitVec& input) {
   if (input.size() != nl.num_inputs())
     throw std::invalid_argument("simulate_pattern: wrong input width");

@@ -45,9 +45,6 @@ class BatchSimulator {
   std::uint64_t value(GateId g) const { return values_[g]; }
   const std::vector<std::uint64_t>& values() const { return values_; }
 
-  // Output words in primary-output order.
-  void output_words(std::vector<std::uint64_t>* out) const;
-
  private:
   const Netlist* nl_;
   std::vector<std::uint64_t> values_;

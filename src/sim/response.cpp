@@ -176,8 +176,8 @@ ResponseMatrix build_response_matrix(const Netlist& nl, const FaultList& faults,
   const std::size_t n = faults.size();
   const std::size_t k = tests.size();
   const std::size_t threads = ThreadPool::resolve(options.num_threads);
-  // Oversplit relative to the thread count so uneven fault cones balance via
-  // stealing. Any contiguous ascending chunking yields the same matrix: the
+  // Oversplit relative to the thread count so uneven fault cones balance
+  // across the pool's shared queue. Any contiguous ascending chunking yields the same matrix: the
   // merge below re-interns in ascending first-detecting-fault order, which
   // is independent of where the chunk boundaries fall.
   const std::size_t num_chunks =
@@ -194,13 +194,8 @@ ResponseMatrix build_response_matrix(const Netlist& nl, const FaultList& faults,
     simulate_chunk(nl, faults, tests, options, &scope, &rm.resp_, &stages[c]);
   };
 
-  std::unique_ptr<ThreadPool> pool;
-  if (num_chunks > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    pool->parallel_for(0, num_chunks, run_chunk);
-  } else if (num_chunks == 1) {
-    run_chunk(0);
-  }
+  ThreadPool pool(threads);
+  pool.parallel_for(0, num_chunks, run_chunk);
 
   // Deterministic merge: per test, intern each chunk's local signatures in
   // (chunk, local id) order. Chunks cover ascending fault ranges and local
@@ -247,11 +242,7 @@ ResponseMatrix build_response_matrix(const Netlist& nl, const FaultList& faults,
         if (col[f] != 0) col[f] = map[col[f]];
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(0, num_chunks, remap_chunk);
-  } else {
-    for (std::size_t c = 0; c < num_chunks; ++c) remap_chunk(c);
-  }
+  pool.parallel_for(0, num_chunks, remap_chunk);
 
 #ifndef NDEBUG
   // Invariant relied on throughout the dictionary layer: id 0 — and only

@@ -15,14 +15,6 @@ namespace {
 // kernels before the SIMD layer and are now the always-available fallback
 // and the SIMD variants' differential oracle.
 
-std::uint32_t scalar_hamming(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t nwords) {
-  std::uint32_t n = 0;
-  for (std::size_t i = 0; i < nwords; ++i)
-    n += static_cast<std::uint32_t>(std::popcount(a[i] ^ b[i]));
-  return n;
-}
-
 std::uint32_t scalar_masked_hamming(const std::uint64_t* row,
                                     const std::uint64_t* obs,
                                     const std::uint64_t* care,
@@ -49,7 +41,6 @@ std::uint32_t scalar_masked_symbol_mismatches(const std::uint32_t* row,
 
 constexpr KernelTable kScalarTable = {
     "scalar",
-    &scalar_hamming,
     &scalar_masked_hamming,
     &scalar_masked_symbol_mismatches,
     &per_row_loop<&scalar_masked_hamming>,

@@ -59,9 +59,6 @@ inline bool bit_at(const std::uint64_t* words, std::size_t i) {
 // references) on every input; only the instructions differ.
 struct KernelTable {
   const char* name;  // "scalar", "avx2", "avx512", "neon"
-  // popcount(a ^ b) over nwords 64-bit lanes.
-  std::uint32_t (*hamming)(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t nwords);
   // popcount((row ^ obs) & care) over nwords lanes: mismatches over the
   // cared positions only.
   std::uint32_t (*masked_hamming)(const std::uint64_t* row,
@@ -124,10 +121,6 @@ const KernelTable& dispatch();
 // Compatibility entry points: route through dispatch(). Hot loops should
 // hoist `const KernelTable& k = dispatch();` instead of paying the
 // first-call guard per row.
-inline std::uint32_t hamming(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t nwords) {
-  return dispatch().hamming(a, b, nwords);
-}
 inline std::uint32_t masked_hamming(const std::uint64_t* row,
                                     const std::uint64_t* obs,
                                     const std::uint64_t* care,

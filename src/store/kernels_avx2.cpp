@@ -42,24 +42,6 @@ inline __m256i popcount_epi8(__m256i v) {
                          _mm256_shuffle_epi8(lut, hi));
 }
 
-std::uint32_t avx2_hamming(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t nwords) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= nwords; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc = _mm256_add_epi64(acc,
-                           _mm256_sad_epu8(popcount_epi8(v),
-                                           _mm256_setzero_si256()));
-  }
-  std::uint32_t n = hsum_epi64(acc);
-  for (; i < nwords; ++i)
-    n += static_cast<std::uint32_t>(std::popcount(a[i] ^ b[i]));
-  return n;
-}
-
 std::uint32_t avx2_masked_hamming(const std::uint64_t* row,
                                   const std::uint64_t* obs,
                                   const std::uint64_t* care,
@@ -116,7 +98,6 @@ std::uint32_t avx2_masked_symbol_mismatches(const std::uint32_t* row,
 
 constexpr KernelTable kAvx2Table = {
     "avx2",
-    &avx2_hamming,
     &avx2_masked_hamming,
     &avx2_masked_symbol_mismatches,
     &per_row_loop<&avx2_masked_hamming>,

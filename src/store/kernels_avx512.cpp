@@ -20,24 +20,6 @@ namespace {
 // imm8 for (A ^ B) & C: (0xF0 ^ 0xCC) & 0xAA.
 constexpr int kXorAndImm = 0x28;
 
-std::uint32_t avx512_hamming(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t nwords) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= nwords; i += 8) {
-    const __m512i v = _mm512_xor_si512(_mm512_loadu_si512(a + i),
-                                       _mm512_loadu_si512(b + i));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-  }
-  if (i < nwords) {
-    const __mmask8 m = static_cast<__mmask8>((1u << (nwords - i)) - 1);
-    const __m512i v = _mm512_xor_si512(_mm512_maskz_loadu_epi64(m, a + i),
-                                       _mm512_maskz_loadu_epi64(m, b + i));
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-  }
-  return static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc));
-}
-
 std::uint32_t avx512_masked_hamming(const std::uint64_t* row,
                                     const std::uint64_t* obs,
                                     const std::uint64_t* care,
@@ -145,7 +127,6 @@ void avx512_masked_hamming_rows(const std::uint64_t* const* rows,
 
 constexpr KernelTable kAvx512Table = {
     "avx512",
-    &avx512_hamming,
     &avx512_masked_hamming,
     &avx512_masked_symbol_mismatches,
     &avx512_masked_hamming_rows,

@@ -19,19 +19,6 @@ inline std::uint64_t popcount_u64x2(uint8x16_t v) {
   return vaddvq_u64(vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(v)))));
 }
 
-std::uint32_t neon_hamming(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t nwords) {
-  std::uint64_t n = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= nwords; i += 2) {
-    const uint64x2_t v = veorq_u64(vld1q_u64(a + i), vld1q_u64(b + i));
-    n += popcount_u64x2(vreinterpretq_u8_u64(v));
-  }
-  for (; i < nwords; ++i)
-    n += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
-  return static_cast<std::uint32_t>(n);
-}
-
 std::uint32_t neon_masked_hamming(const std::uint64_t* row,
                                   const std::uint64_t* obs,
                                   const std::uint64_t* care,
@@ -77,7 +64,6 @@ std::uint32_t neon_masked_symbol_mismatches(const std::uint32_t* row,
 
 constexpr KernelTable kNeonTable = {
     "neon",
-    &neon_hamming,
     &neon_masked_hamming,
     &neon_masked_symbol_mismatches,
     &per_row_loop<&neon_masked_hamming>,

@@ -1,33 +1,20 @@
 #include "util/threadpool.h"
 
-#include <atomic>
+#include <algorithm>
 
 namespace sddict {
-namespace {
 
-// Set while a worker runs, so submit() from inside a task lands on the
-// submitting worker's own deque (LIFO locality) instead of round-robin.
-struct WorkerIdentity {
-  const ThreadPool* pool = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerIdentity tls_worker;
-
-}  // namespace
-
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  const std::size_t n = resolve(num_threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.push_back(std::make_unique<Worker>());
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    threads_.emplace_back(&ThreadPool::worker_loop, this, i);
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : num_threads_(resolve(num_threads)) {
+  if (num_threads_ == 1) return;
+  threads_.reserve(num_threads_);
+  for (std::size_t i = 0; i < num_threads_; ++i)
+    threads_.emplace_back(&ThreadPool::worker_loop, this);
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   work_available_.notify_all();
@@ -40,61 +27,31 @@ std::size_t ThreadPool::default_num_threads() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  std::size_t target;
-  if (tls_worker.pool == this) {
-    target = tls_worker.index;
-  } else {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    target = next_victim_++ % workers_.size();
+  if (threads_.empty()) {
+    run(task);
+    return;
   }
-  // Count before pushing: once the task is visible in a deque a worker may
-  // claim and finish it immediately, and its decrements must not precede
-  // these increments.
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    ++queued_;
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(task));
     ++pending_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->deque.push_back(std::move(task));
   }
   work_available_.notify_one();
 }
 
-bool ThreadPool::try_get_task(std::size_t self, std::function<void()>* out) {
-  // Own deque, newest first: recently pushed work is cache-warm.
-  {
-    Worker& own = *workers_[self];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.deque.empty()) {
-      *out = std::move(own.deque.back());
-      own.deque.pop_back();
-      return true;
-    }
+void ThreadPool::run(const std::function<void()>& task) noexcept {
+  // A throwing task must not unwind through the worker loop (that would
+  // std::terminate the process); capture and surface at the join.
+  try {
+    task();
+  } catch (...) {
+    capture_error();
   }
-  return try_steal(self, out);
-}
-
-bool ThreadPool::try_steal(std::size_t thief, std::function<void()>* out) {
-  // Victims' deques, oldest first: stealing the front grabs the
-  // largest-granularity work and leaves the victim its warm tail.
-  const std::size_t n = workers_.size();
-  for (std::size_t off = 1; off < n; ++off) {
-    Worker& victim = *workers_[(thief + off) % n];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.deque.empty()) {
-      *out = std::move(victim.deque.front());
-      victim.deque.pop_front();
-      return true;
-    }
-  }
-  return false;
 }
 
 void ThreadPool::capture_error() noexcept {
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (!first_error_) first_error_ = std::current_exception();
   }
   // Stop siblings early: chunks that have not started skip their bodies.
@@ -104,7 +61,7 @@ void ThreadPool::capture_error() noexcept {
 std::exception_ptr ThreadPool::take_error() {
   std::exception_ptr err;
   {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     err = first_error_;
     first_error_ = nullptr;
   }
@@ -115,40 +72,25 @@ std::exception_ptr ThreadPool::take_error() {
   return err;
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker = {this, self};
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    if (try_get_task(self, &task)) {
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        --queued_;
-      }
-      // A throwing task must not unwind through the worker loop (that
-      // would std::terminate the process); capture and surface at join.
-      try {
-        task();
-      } catch (...) {
-        capture_error();
-      }
-      task = nullptr;  // release captures before possibly sleeping
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        if (--pending_ == 0) all_done_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    // queued_ can lag a concurrent claim (popped, decrement pending), so a
-    // wakeup may find the deques empty; the loop just re-waits.
-    work_available_.wait(lock, [&] { return stop_ || queued_ > 0; });
-    if (stop_ && queued_ <= 0) return;
+    work_available_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    // Stopping drains the queue first, so no submitted task is dropped.
+    if (queue_.empty()) return;
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    run(task);
+    task = nullptr;  // release captures before the task counts as done
+    lock.lock();
+    if (--pending_ == 0) all_done_.notify_all();
   }
 }
 
 void ThreadPool::wait_idle() {
   {
-    std::unique_lock<std::mutex> lock(state_mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     all_done_.wait(lock, [&] { return pending_ == 0; });
   }
   if (std::exception_ptr err = take_error()) std::rethrow_exception(err);
@@ -168,11 +110,11 @@ void ThreadPool::parallel_for_chunks(
   if (end <= begin) return;
   const std::size_t n = end - begin;
   num_chunks = std::min(num_chunks, n);
-  // Cap the task count: with coarse chunks there is nothing to steal past a
-  // small multiple of the worker count, and fewer tasks mean less queue
-  // traffic. 4x gives the stealer something to grab when chunks are uneven.
-  num_chunks = std::min(num_chunks, workers_.size() * 4);
-  if (num_chunks <= 1 || workers_.size() == 1) {
+  // Cap the task count: with coarse chunks a small multiple of the worker
+  // count already balances uneven chunks, and fewer tasks mean less queue
+  // traffic.
+  num_chunks = std::min(num_chunks, num_threads_ * 4);
+  if (num_chunks <= 1 || num_threads_ == 1) {
     // Inline fast path: exceptions propagate directly; cancellation is
     // honored the same way the task path honors it.
     if (!cancel_requested()) body(begin, end);

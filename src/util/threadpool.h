@@ -1,30 +1,30 @@
-// Work-stealing thread pool for the dictionary-construction hot paths.
+// Fork-join thread pool for the dictionary-construction hot paths.
 //
-// Design: one task deque per worker. A worker pops from the back of its own
-// deque (LIFO — keeps caches warm for recursively submitted work) and, when
-// empty, steals from the front of a victim's deque (FIFO — steals the
-// oldest, largest-granularity work first). External submitters distribute
-// tasks round-robin. The pool itself is deterministic only in *what* gets
-// executed, never in completion order; callers that need reproducible
-// results must make their reduction order-independent (see
-// build_response_matrix and run_procedure1 for the pattern: compute into
-// index-addressed slots, reduce sequentially by index).
+// Design: one mutex-guarded FIFO task queue shared by every worker. The
+// callers (fault simulation, Procedure 1's restart waves, the engine's
+// sharded sweep) submit a few coarse chunks per wave and block on them,
+// so a shared queue balances uneven chunks as well as any per-worker
+// scheme would. A pool of one starts no thread: tasks run on the caller.
+// The pool is deterministic only in *what* gets executed, never in
+// completion order; callers that need reproducible results must make
+// their reduction order-independent (see build_response_matrix and
+// run_procedure1 for the pattern: compute into index-addressed slots,
+// reduce sequentially by index).
 //
 // Exception safety: a task that throws never takes the process down. The
-// worker captures the std::exception_ptr, the pool cancels itself so
-// sibling chunks of the same parallel_for stop early, and the first
-// exception is rethrown at the join point — the end of parallel_for /
+// pool captures the std::exception_ptr and cancels itself so sibling
+// chunks of the same parallel_for stop early, and the first exception is
+// rethrown at the join point — the end of parallel_for /
 // parallel_for_chunks, or wait_idle for raw submit()s. Rethrowing clears
 // the error and the cancellation flag, so the pool stays usable.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,16 +33,15 @@ namespace sddict {
 
 class ThreadPool {
  public:
-  // num_threads == 0 selects default_num_threads(). A pool of size 1 still
-  // runs tasks on its single worker; parallel_for additionally has an
-  // inline fast path so tiny pools add no dispatch overhead.
+  // num_threads == 0 selects default_num_threads(). A pool of size 1
+  // starts no thread and runs every task inline on the calling thread.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
+  std::size_t num_threads() const { return num_threads_; }
 
   // std::thread::hardware_concurrency(), clamped to at least 1.
   static std::size_t default_num_threads();
@@ -52,8 +51,8 @@ class ThreadPool {
     return requested == 0 ? default_num_threads() : requested;
   }
 
-  // Enqueues one task. Thread-safe; may be called from worker threads
-  // (the task lands on the calling worker's own deque). A throwing task's
+  // Enqueues one task. Thread-safe; may be called from worker threads. A
+  // pool of one runs the task before returning. A throwing task's
   // exception is captured and rethrown by the next wait_idle().
   void submit(std::function<void()> task);
 
@@ -89,36 +88,26 @@ class ThreadPool {
   void reset_cancel() { cancelled_.store(false, std::memory_order_release); }
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> deque;
-    std::mutex mutex;
-  };
-
-  void worker_loop(std::size_t self);
-  // Pops from own back / steals from a victim's front. Returns false when
-  // no task is available anywhere.
-  bool try_get_task(std::size_t self, std::function<void()>* out);
-  bool try_steal(std::size_t thief, std::function<void()>* out);
+  void worker_loop();
+  // Runs one task, capturing anything it throws.
+  void run(const std::function<void()>& task) noexcept;
   // Records the in-flight exception (first one wins) and cancels the pool.
   void capture_error() noexcept;
   // Takes the stored error, clearing it and the cancellation flag it set.
   std::exception_ptr take_error();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
+  std::size_t num_threads_;
 
-  std::mutex state_mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
+  std::deque<std::function<void()>> queue_;
   std::size_t pending_ = 0;  // submitted but not yet finished
-  // Tasks counted but possibly not yet claimable: submit increments before
-  // the deque push, so a woken worker can transiently find nothing and
-  // re-wait. Signed as defense in depth.
-  std::int64_t queued_ = 0;
-  std::size_t next_victim_ = 0;  // round-robin for external submits
   bool stop_ = false;
-  std::exception_ptr first_error_;  // guarded by state_mutex_
+  std::exception_ptr first_error_;  // guarded by mutex_
   std::atomic<bool> cancelled_{false};
+  // Last: the workers use every member above.
+  std::vector<std::thread> threads_;  // empty for a pool of one
 };
 
 }  // namespace sddict

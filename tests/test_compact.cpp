@@ -19,8 +19,7 @@
 //    with the dropped observations forced to kMissing;
 //  * delta repository: base+delta materialization is byte-identical to
 //    the equivalent direct build, chains walk correctly, squash collapses
-//    them, named errors for malformed deltas, squash_async honors
-//    max_chain;
+//    them, named errors for malformed deltas, squash honors max_chain;
 //  * compact_published(): a drop-only delta lands in the catalog and the
 //    hot-swap identity gate holds while 4 producer threads query through
 //    a repository-backed DiagnosisService mid-compaction (the TSan gate).
@@ -59,7 +58,6 @@
 #include "tgen/compact.h"
 #include "util/budget.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 
 namespace sddict {
 namespace {
@@ -621,13 +619,13 @@ TEST(DeltaRepository, SquashCollapsesTheChain) {
   EXPECT_EQ(repo.chain_length("c2", StoreSource::kPassFail), 2u);
 
   const auto before = repo.acquire("c2", StoreSource::kPassFail)->to_bytes();
-  const ManifestEntry sq = repo.squash("c2", StoreSource::kPassFail);
+  const ManifestEntry sq = repo.squash("c2", StoreSource::kPassFail).entry;
   EXPECT_FALSE(sq.is_delta);
   EXPECT_EQ(sq.version, 4u);
   EXPECT_EQ(repo.chain_length("c2", StoreSource::kPassFail), 0u);
   EXPECT_EQ(repo.acquire("c2", StoreSource::kPassFail)->to_bytes(), before);
   // Squashing a full latest is a no-op returning the existing entry.
-  EXPECT_EQ(repo.squash("c2", StoreSource::kPassFail).version, 4u);
+  EXPECT_EQ(repo.squash("c2", StoreSource::kPassFail).entry.version, 4u);
 }
 
 TEST(DeltaRepository, MalformedDeltasAreNamedErrors) {
@@ -688,20 +686,18 @@ TEST(DeltaRepository, MalformedDeltasAreNamedErrors) {
 }
 
 TEST(DeltaRepository, SquashAsyncHonorsMaxChain) {
-  const std::string dir = fresh_repo_dir("squash_async");
+  const std::string dir = fresh_repo_dir("squash_max_chain");
   DictionaryRepository repo(dir);
   const SignatureStore full =
       SignatureStore::build(PassFailDictionary::build(rm()));
   repo.publish("c4", StoreSource::kPassFail, full, {});
   repo.publish_delta("c4", StoreSource::kPassFail, nullptr, {0}, {});
-  ThreadPool pool(2);
-  // Chain (1) is within bounds: resolves with the existing latest.
-  ManifestEntry e =
-      repo.squash_async(pool, "c4", StoreSource::kPassFail, 1).get();
+  // Chain (1) is within bounds: returns the existing latest.
+  ManifestEntry e = repo.squash("c4", StoreSource::kPassFail, 1).entry;
   EXPECT_EQ(e.version, 2u);
   EXPECT_TRUE(e.is_delta);
   // Chain exceeds bounds: a fresh full version appears.
-  e = repo.squash_async(pool, "c4", StoreSource::kPassFail, 0).get();
+  e = repo.squash("c4", StoreSource::kPassFail, 0).entry;
   EXPECT_EQ(e.version, 3u);
   EXPECT_FALSE(e.is_delta);
   EXPECT_EQ(repo.chain_length("c4", StoreSource::kPassFail), 0u);

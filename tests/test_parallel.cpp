@@ -1,4 +1,4 @@
-// Concurrency-layer tests: the work-stealing thread pool itself, and the
+// Concurrency-layer tests: the shared-queue thread pool itself, and the
 // bit-determinism guarantees of the two parallel construction stages —
 // build_response_matrix and run_procedure1 must produce identical results
 // at every thread count (ISSUE 1 tentpole). Registered under the ctest
@@ -65,8 +65,8 @@ TEST(ThreadPool, SubmitAndWaitIdle) {
 }
 
 TEST(ThreadPool, SubmitFromWorkerTask) {
-  // A task submitting follow-up work must not deadlock; the follow-up lands
-  // on the submitting worker's own deque.
+  // A task submitting follow-up work must not deadlock; the follow-up joins
+  // the shared queue and wait_idle covers it too.
   ThreadPool pool(2);
   std::atomic<int> done{0};
   for (int i = 0; i < 8; ++i)
@@ -83,7 +83,7 @@ TEST(ThreadPool, EmptyRangeIsANoop) {
 }
 
 TEST(ThreadPool, ManySmallWavesStress) {
-  // Exercises the sleep/wake and steal paths repeatedly (the shapes
+  // Exercises the sleep/wake paths repeatedly (the shapes
   // run_procedure1 produces: many short parallel_for calls on one pool).
   ThreadPool pool(4);
   std::atomic<std::size_t> sum{0};

@@ -39,6 +39,7 @@
 
 #include "bmcirc/synth.h"
 #include "diag/engine.h"
+#include "diag/testerlog.h"
 #include "dict/samediff_dict.h"
 #include "fault/collapse.h"
 #include "faultinject.h"
@@ -809,6 +810,59 @@ TEST(RepoAdminVerbs, CompactRejectsBadBudgetsThenCompactsAndSquashes) {
       << out;
   EXPECT_EQ(repo.latest_version("synth", StoreSource::kSameDifferent), 3u);
   EXPECT_EQ(backend.store_version(), 3u);
+}
+
+TEST(RepoAdminVerbs, ReloadSquashesChainsDeeperThanMaxChain) {
+  const std::string dir = fresh_repo_dir("admin_max_chain");
+  DictionaryRepository repo(dir);
+  const SignatureStore store = SignatureStore::build(sd_dict());
+  repo.publish("synth", StoreSource::kSameDifferent, store, {});
+  repo.publish_delta("synth", StoreSource::kSameDifferent, nullptr, {0}, {});
+  net::RepoBackend backend(repo, gate_options(), "synth",
+                           StoreSource::kSameDifferent, /*max_chain=*/1);
+
+  // Chain 1 is within max_chain: the reload swaps without squashing.
+  const std::string within = serve(backend, "!health\n!reload\n");
+  EXPECT_TRUE(has_line(within, "health state=ok .* version=2")) << within;
+  EXPECT_TRUE(has_line(within, "reloaded circuit=synth swapped=1 squashed=0"))
+      << within;
+  EXPECT_EQ(repo.latest_version("synth", StoreSource::kSameDifferent), 2u);
+
+  // A second delta makes the chain 2: the reload squashes it into a full
+  // version 4 first and swaps onto that.
+  DictionaryRepository(dir).publish_delta("synth", StoreSource::kSameDifferent,
+                                          nullptr, {0}, {});
+  const std::string deeper = serve(backend, "!reload\n!health\n");
+  EXPECT_TRUE(has_line(deeper, "reloaded circuit=synth swapped=1 squashed=1"))
+      << deeper;
+  EXPECT_TRUE(has_line(deeper, "health state=ok .* version=4")) << deeper;
+  EXPECT_EQ(repo.chain_length("synth", StoreSource::kSameDifferent), 0u);
+  EXPECT_EQ(backend.store_version(), 4u);
+
+  // Queries now answer from the squashed store: base tests 2.. only.
+  const auto squashed = repo.acquire("synth", StoreSource::kSameDifferent);
+  ASSERT_EQ(squashed->num_tests(), store.num_tests() - 2);
+  const FaultId f = static_cast<FaultId>(rm().num_faults() / 2);
+  std::vector<ResponseId> ids;
+  for (std::size_t t = 2; t < rm().num_tests(); ++t)
+    ids.push_back(rm().response(f, t));
+  const std::vector<Observed> obs = qualify(ids);
+  std::ostringstream datalog;
+  write_testerlog(datalog, obs);
+  ServiceResponse expected;
+  expected.diagnosis = diagnose_observed(*squashed, obs);
+  std::ostringstream want;
+  net::write_response(want, expected, /*dropped=*/0);
+
+  const auto drop_timing = [](const std::string& text) {
+    std::istringstream in(text);
+    std::string out;
+    for (std::string line; std::getline(in, line);)
+      if (line.rfind("timing ", 0) != 0) out += line + "\n";
+    return out;
+  };
+  EXPECT_EQ(drop_timing(serve(backend, datalog.str())),
+            drop_timing(want.str()));
 }
 
 }  // namespace

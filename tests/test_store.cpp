@@ -228,9 +228,6 @@ TEST(Kernels, EveryVariantMatchesPerBitOracleAcrossTailWidths) {
           t->masked_hamming(row.data(), obs.data(), no_care.data(), nwords),
           0u)
           << t->name << " no-care nbits=" << nbits;
-      // hamming == masked_hamming under the all-ones mask.
-      EXPECT_EQ(t->hamming(row.data(), obs.data(), nwords), want_all)
-          << t->name << " hamming nbits=" << nbits;
     }
   }
 }
