@@ -38,24 +38,33 @@ void BM_GoodSimBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GoodSimBatch)->Arg(0)->Arg(1)->Arg(2);
 
+// One fault per iteration against a batch of Lanes×64 patterns. A new
+// random batch is loaded after every pass over the fault list, so the
+// root-cone simulations are paid once per pass as in the response matrix,
+// and items count patterns: the per-pattern cost of both widths compares
+// directly.
+template <std::size_t Lanes>
 void BM_FaultSimBatch(benchmark::State& state) {
   const Netlist& nl = circuit_for(static_cast<int>(state.range(0)));
   const FaultList faults = collapsed_fault_list(nl).collapsed;
-  FaultSimulator fsim(nl);
+  BasicFaultSimulator<Lanes> fsim(nl);
   Rng rng(2);
-  std::vector<std::uint64_t> words(nl.num_inputs());
-  for (auto& w : words) w = rng.next();
-  fsim.load_batch(words, 64);
+  std::vector<std::uint64_t> words(nl.num_inputs() * Lanes);
   std::size_t i = 0;
   for (auto _ : state) {
+    if (i == 0) {
+      for (auto& w : words) w = rng.next();
+      fsim.load_batch(words);
+    }
     benchmark::DoNotOptimize(fsim.detect_word(faults[i]));
     i = (i + 1) % faults.size();
   }
-  // One fault against 64 patterns per iteration.
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(Lanes * 64));
   state.counters["faults"] = static_cast<double>(faults.size());
 }
-BENCHMARK(BM_FaultSimBatch)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_TEMPLATE(BM_FaultSimBatch, 1)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_TEMPLATE(BM_FaultSimBatch, 4)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_BuildResponseMatrix(benchmark::State& state) {
   const Netlist& nl = circuit_for(static_cast<int>(state.range(0)));

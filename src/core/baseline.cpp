@@ -1,5 +1,6 @@
 #include "core/baseline.h"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -116,6 +117,30 @@ BaselineSelection procedure1_on_classes(const ResponseMatrix& rm,
   return sel;
 }
 
+// The all-fault-free assignment (a pass/fail dictionary): itself a valid
+// baseline choice and the floor under every Procedure 1 result. The
+// fault-free id is resolved per test — id 0 for simulated matrices, but
+// not necessarily for matrices from response_matrix_from_ids.
+BaselineSelection passfail_floor(const ResponseMatrix& rm,
+                                 const ResponseClasses& classes) {
+  BaselineSelection passfail;
+  passfail.baselines.resize(rm.num_tests());
+  Partition part(classes.size());
+  for (std::size_t j = 0; j < rm.num_tests(); ++j) {
+    const ResponseId ff = rm.fault_free_id(j);
+    passfail.baselines[j] = ff;
+    const auto col = rm.column(j);
+    if (!part.fully_refined())
+      part.refine_with([&](std::uint32_t e) {
+        return static_cast<std::uint32_t>(col[classes.rep[e]] == ff);
+      });
+  }
+  passfail.indistinguished_pairs = weighted_pairs(part, classes);
+  passfail.distinguished_pairs =
+      Partition::pairs(rm.num_faults()) - passfail.indistinguished_pairs;
+  return passfail;
+}
+
 }  // namespace
 
 BaselineSelection procedure1_single(const ResponseMatrix& rm,
@@ -153,46 +178,22 @@ BaselineSelection run_procedure1(const ResponseMatrix& rm,
     return procedure1_on_classes(rm, classes, order, config.lower);
   };
 
-  BaselineSelection best = run_restart(0);
-  // calls_used == 1 marks a restart that actually ran (procedure1_on_classes
-  // sets it); 0 means restart 0 was skipped by an already-expired budget.
-  const bool have_restart0 = best.calls_used == 1;
-  // The all-fault-free assignment (a pass/fail dictionary) is itself a valid
-  // baseline choice; never return anything worse than it — and when even
-  // restart 0 was skipped, it is the result. The fault-free id is resolved
-  // per test — id 0 for simulated matrices, but not necessarily for
-  // matrices from response_matrix_from_ids.
-  {
-    BaselineSelection passfail;
-    passfail.baselines.resize(rm.num_tests());
-    Partition part(classes.size());
-    for (std::size_t j = 0; j < rm.num_tests(); ++j) {
-      const ResponseId ff = rm.fault_free_id(j);
-      passfail.baselines[j] = ff;
-      const auto col = rm.column(j);
-      if (!part.fully_refined())
-        part.refine_with([&](std::uint32_t e) {
-          return static_cast<std::uint32_t>(col[classes.rep[e]] == ff);
-        });
-    }
-    passfail.indistinguished_pairs = weighted_pairs(part, classes);
-    passfail.distinguished_pairs =
-        Partition::pairs(rm.num_faults()) - passfail.indistinguished_pairs;
-    if (!have_restart0 ||
-        passfail.distinguished_pairs > best.distinguished_pairs)
-      best = std::move(passfail);
-  }
-
   // Waves of independent restarts, reduced sequentially by restart index
-  // with the original stopping rules. Strict improvement ("more distinguished
+  // with the original stopping rules. The first wave runs restarts
+  // [0, threads) and computes the pass/fail floor as one more task; the
+  // reduction seeds the incumbent with restart 0 unless the floor is
+  // strictly better, and with the floor alone when even restart 0 was
+  // skipped (calls_used == 0). Strict improvement ("more distinguished
   // pairs") keeps the lowest restart index on ties, and restarts past the
   // stop point are computed but never consumed — so the result and
-  // calls_used are bit-identical at every thread count and wave size.
+  // calls_used are bit-identical at every thread count and wave size. No
+  // wave computes a restart past the restart caps.
   // Stop-rule ordering matters for the anytime guarantee: natural
   // completion is checked first (so a run that finishes and expires in the
   // same instant reports completed), then the restart caps (which latch
   // kMaxRestarts), then the deadline/cancellation poll.
-  std::size_t calls = have_restart0 ? 1 : 0;
+  BaselineSelection best;
+  std::size_t calls = 0;
   std::size_t no_improve = 0;
   auto stopped = [&] {
     if (no_improve >= config.calls1 ||
@@ -209,18 +210,41 @@ BaselineSelection run_procedure1(const ResponseMatrix& rm,
 
   const std::size_t threads = ThreadPool::resolve(config.num_threads);
   const std::size_t wave = threads;
+  const std::size_t restart_cap =
+      config.budget.max_restarts > 0
+          ? std::min(config.budget.max_restarts, kMaxProcedure1Calls)
+          : kMaxProcedure1Calls;
   ThreadPool pool(threads);
 
   std::vector<BaselineSelection> slots(wave);
-  std::size_t next_restart = 1;
-  while (!stopped()) {
+  BaselineSelection passfail;
+  std::size_t next_restart = 0;
+  do {
     const std::size_t wave_begin = next_restart;
-    const std::size_t wave_end = wave_begin + wave;
-    pool.parallel_for(wave_begin, wave_end, [&](std::size_t r) {
-      slots[r - wave_begin] = run_restart(r);
+    const std::size_t wave_end = std::min(wave_begin + wave, restart_cap);
+    // The floor goes first in the first wave so the pool's FIFO queue
+    // starts it alongside the restarts.
+    const std::size_t extra = wave_begin == 0 ? 1 : 0;
+    pool.parallel_for(0, extra + wave_end - wave_begin, [&](std::size_t i) {
+      if (i < extra)
+        passfail = passfail_floor(rm, classes);
+      else
+        slots[i - extra] = run_restart(wave_begin + i - extra);
     });
-    for (std::size_t r = wave_begin; r < wave_end && !stopped(); ++r) {
+    for (std::size_t r = wave_begin; r < wave_end; ++r) {
       BaselineSelection cur = std::move(slots[r - wave_begin]);
+      if (r == 0) {
+        // calls_used == 1 marks a restart that actually ran
+        // (procedure1_on_classes sets it); 0 means an already-expired
+        // budget skipped it.
+        const bool ran = cur.calls_used == 1;
+        calls = ran ? 1 : 0;
+        best = ran && cur.distinguished_pairs >= passfail.distinguished_pairs
+                   ? std::move(cur)
+                   : std::move(passfail);
+        continue;
+      }
+      if (stopped()) break;
       ++calls;
       if (cur.distinguished_pairs > best.distinguished_pairs) {
         best = std::move(cur);
@@ -230,7 +254,7 @@ BaselineSelection run_procedure1(const ResponseMatrix& rm,
       }
     }
     next_restart = wave_end;
-  }
+  } while (!stopped());
   best.calls_used = calls;
   best.completed = !scope.stopped();
   best.stop_reason = scope.reason();

@@ -90,39 +90,7 @@ bool is_inverting(GateType t) {
 }
 
 std::uint64_t eval_gate_words(GateType t, const std::uint64_t* in, std::size_t n) {
-  switch (t) {
-    case GateType::kInput:
-      throw std::logic_error("eval_gate_words: INPUT has no function");
-    case GateType::kDff:
-      throw std::logic_error("eval_gate_words: DFF must be removed by full-scan");
-    case GateType::kConst0:
-      return 0;
-    case GateType::kConst1:
-      return ~std::uint64_t{0};
-    case GateType::kBuf:
-      return in[0];
-    case GateType::kNot:
-      return ~in[0];
-    case GateType::kAnd:
-    case GateType::kNand: {
-      std::uint64_t v = in[0];
-      for (std::size_t i = 1; i < n; ++i) v &= in[i];
-      return t == GateType::kNand ? ~v : v;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      std::uint64_t v = in[0];
-      for (std::size_t i = 1; i < n; ++i) v |= in[i];
-      return t == GateType::kNor ? ~v : v;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      std::uint64_t v = in[0];
-      for (std::size_t i = 1; i < n; ++i) v ^= in[i];
-      return t == GateType::kXnor ? ~v : v;
-    }
-  }
-  throw std::logic_error("eval_gate_words: bad gate type");
+  return eval_gate<std::uint64_t>(t, n, [&](std::size_t i) { return in[i]; });
 }
 
 bool eval_gate_bool(GateType t, const bool* in, std::size_t n) {

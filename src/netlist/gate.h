@@ -3,7 +3,9 @@
 // flip-flops, and constants.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,48 @@ struct Gate {
   std::vector<GateId> fanin;
   std::vector<GateId> fanout;  // gates that list this gate in their fanin
 };
+
+// Evaluates a gate of type t and arity n on the values value_of(p) of its
+// fanin pins p < n. Word is any type with the bitwise operators: one 64-bit
+// word of packed patterns, or several (the fault simulator's LaneWord).
+// This is the one definition of every gate function; the simulators inline
+// it into their loops.
+template <class Word, class ValueOf>
+inline Word eval_gate(GateType t, std::size_t n, ValueOf&& value_of) {
+  switch (t) {
+    case GateType::kInput:
+      throw std::logic_error("eval_gate: INPUT has no function");
+    case GateType::kDff:
+      throw std::logic_error("eval_gate: DFF must be removed by full-scan");
+    case GateType::kConst0:
+      return Word{};
+    case GateType::kConst1:
+      return ~Word{};
+    case GateType::kBuf:
+      return value_of(0);
+    case GateType::kNot:
+      return ~value_of(0);
+    case GateType::kAnd:
+    case GateType::kNand: {
+      Word v = value_of(0);
+      for (std::size_t i = 1; i < n; ++i) v &= value_of(i);
+      return t == GateType::kNand ? ~v : v;
+    }
+    case GateType::kOr:
+    case GateType::kNor: {
+      Word v = value_of(0);
+      for (std::size_t i = 1; i < n; ++i) v |= value_of(i);
+      return t == GateType::kNor ? ~v : v;
+    }
+    case GateType::kXor:
+    case GateType::kXnor: {
+      Word v = value_of(0);
+      for (std::size_t i = 1; i < n; ++i) v ^= value_of(i);
+      return t == GateType::kXnor ? ~v : v;
+    }
+  }
+  throw std::logic_error("eval_gate: bad gate type");
+}
 
 // Evaluates a gate over 64 packed pattern bits given fanin words.
 std::uint64_t eval_gate_words(GateType t, const std::uint64_t* in, std::size_t n);

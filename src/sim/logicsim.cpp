@@ -20,9 +20,9 @@ void BatchSimulator::simulate(const std::vector<std::uint64_t>& input_words) {
   for (GateId g : nl_->topo_order()) {
     const Gate& gate = nl_->gate(g);
     if (gate.type == GateType::kInput) continue;
-    values_[g] = eval_fanins(gate.type, gate.fanin.size(), [&](std::size_t p) {
-      return values_[gate.fanin[p]];
-    });
+    values_[g] = eval_gate<std::uint64_t>(
+        gate.type, gate.fanin.size(),
+        [&](std::size_t p) { return values_[gate.fanin[p]]; });
   }
 }
 

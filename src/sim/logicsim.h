@@ -12,24 +12,6 @@
 
 namespace sddict {
 
-// Evaluates a gate of the given type and arity on the words value_of(p) of
-// its fanin pins p: the one fanin gather shared by good and faulty
-// simulation. Gates of up to 64 fanins gather on the stack; wider ones
-// spill to the heap.
-template <class ValueOf>
-std::uint64_t eval_fanins(GateType type, std::size_t arity,
-                          ValueOf&& value_of) {
-  std::uint64_t buf[64];
-  std::vector<std::uint64_t> wide;
-  std::uint64_t* in = buf;
-  if (arity > 64) {
-    wide.resize(arity);
-    in = wide.data();
-  }
-  for (std::size_t p = 0; p < arity; ++p) in[p] = value_of(p);
-  return eval_gate_words(type, in, arity);
-}
-
 class BatchSimulator {
  public:
   // The netlist must be combinational (run full_scan first) and must

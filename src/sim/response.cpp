@@ -77,7 +77,7 @@ namespace {
 struct ChunkStage {
   std::size_t fault_begin = 0;
   std::size_t fault_end = 0;
-  bool complete = false;  // ran over every pattern batch without expiring
+  bool complete = false;  // ran over every pattern pass without expiring
   std::vector<std::vector<Hash128>> sigs;                        // [test][l-1]
   std::vector<std::vector<std::vector<std::uint32_t>>> diffs;    // [test][l-1]
 };
@@ -85,56 +85,56 @@ struct ChunkStage {
 // Simulates faults [stage->fault_begin, stage->fault_end) against all tests,
 // writing chunk-local ids into the global test-major resp array (chunks own
 // disjoint fault ranges of every column, so no synchronization is needed).
-// Stops at the next pattern-batch boundary once the budget scope expires,
-// leaving the remaining entries at id 0.
+// Tests go through the simulator kPass at a time. Stops at the next pass
+// boundary once the budget scope expires, leaving the remaining entries at
+// id 0.
 void simulate_chunk(const Netlist& nl, const FaultList& faults,
                     const TestSet& tests, const ResponseMatrixOptions& options,
                     BudgetScope* scope, std::vector<ResponseId>* resp,
                     ChunkStage* stage) {
   SDDICT_FAILPOINT("simulate_chunk");
+  using Simulator = BasicFaultSimulator<4>;
+  using Word = Simulator::Word;
+  constexpr std::size_t kPass = Simulator::kPatterns;
   const std::size_t n = faults.size();
   const std::size_t k = tests.size();
   stage->sigs.assign(k, {});
   if (options.store_diff_outputs) stage->diffs.assign(k, {});
   std::vector<std::unordered_map<Hash128, ResponseId, Hash128Hasher>> intern(k);
 
-  FaultSimulator fsim(nl);
+  Simulator fsim(nl);
   std::vector<std::uint64_t> input_words;
 
   // Scratch reused across faults: per-pattern signature accumulators and the
   // raw (output, diff word) pairs of the current fault.
-  Hash128 sig[64];
-  std::vector<std::pair<std::size_t, std::uint64_t>> fault_diffs;
+  Hash128 sig[kPass];
+  std::vector<std::pair<std::size_t, Word>> fault_diffs;
 
-  for (std::size_t first = 0; first < k; first += 64) {
+  for (std::size_t first = 0; first < k; first += kPass) {
+    // Condition failpoint: expires the budget at this pass boundary, as a
+    // deadline passing between two passes would.
+    if (failpoint::triggered("simulate_pass.expire"))
+      scope->trip(StopReason::kDeadline);
     if (scope->stop()) return;  // stage->complete stays false
-    const std::size_t count = std::min<std::size_t>(64, k - first);
-    tests.pack_batch(first, count, &input_words);
+    const std::size_t count = std::min(kPass, k - first);
+    tests.pack_batch(first, count, &input_words, Simulator::kLanes);
     fsim.load_batch(input_words, count);
 
     for (FaultId i = stage->fault_begin; i < stage->fault_end; ++i) {
       fault_diffs.clear();
-      const std::uint64_t any =
-          fsim.simulate_fault(faults[i], [&](std::size_t o, std::uint64_t w) {
+      const Word any =
+          fsim.simulate_fault(faults[i], [&](std::size_t o, const Word& w) {
             fault_diffs.push_back({o, w});
           });
-      if (any == 0) continue;  // all slots keep response id 0
+      if (!any) continue;  // all slots keep response id 0
 
       for (const auto& [o, w] : fault_diffs) {
         const Hash128 tok = slot_token(o, 1);
-        std::uint64_t bits = w;
-        while (bits != 0) {
-          const int t = std::countr_zero(bits);
-          bits &= bits - 1;
-          sig[t] ^= tok;
-        }
+        w.for_each_set([&](std::size_t t) { sig[t] ^= tok; });
       }
 
-      std::uint64_t dirty = any;
-      while (dirty != 0) {
-        const int t = std::countr_zero(dirty);
-        dirty &= dirty - 1;
-        const std::size_t test = first + static_cast<std::size_t>(t);
+      any.for_each_set([&](std::size_t t) {
+        const std::size_t test = first + t;
         auto& table = intern[test];
         auto [it, inserted] = table.try_emplace(
             sig[t], static_cast<ResponseId>(stage->sigs[test].size() + 1));
@@ -143,14 +143,14 @@ void simulate_chunk(const Netlist& nl, const FaultList& faults,
           if (options.store_diff_outputs) {
             std::vector<std::uint32_t> outs;
             for (const auto& [o, w] : fault_diffs)
-              if ((w >> t) & 1) outs.push_back(static_cast<std::uint32_t>(o));
+              if (w.test(t)) outs.push_back(static_cast<std::uint32_t>(o));
             std::sort(outs.begin(), outs.end());
             stage->diffs[test].push_back(std::move(outs));
           }
         }
         (*resp)[test * n + i] = it->second;
         sig[t] = Hash128{};  // reset for the next fault
-      }
+      });
     }
   }
   stage->complete = true;

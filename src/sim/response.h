@@ -58,16 +58,18 @@ struct ResponseMatrixOptions {
   // Worker threads for fault simulation; 0 = hardware concurrency. The
   // resulting matrix is bit-identical at every thread count: the fault list
   // is partitioned into contiguous chunks, each simulated by its own
-  // FaultSimulator into chunk-local response ids, and a deterministic merge
-  // re-interns signatures in ascending first-detecting-fault order — the
-  // same order the single-threaded construction produces.
+  // four-lane fault simulator into chunk-local response ids, and a
+  // deterministic merge re-interns signatures in ascending
+  // first-detecting-fault order — the same order the single-threaded
+  // construction produces.
   std::size_t num_threads = 0;
   // Wall-clock / cancellation budget for the simulation. Anytime: on
-  // expiry each chunk stops at a pattern-batch boundary, the (fault, test)
-  // entries never reached keep response id 0 (undetected), and the status
-  // out-param reports completed == false. The partial matrix is structurally
-  // valid (id 0 is still the fault-free response of every test) but is NOT
-  // guaranteed bit-identical across thread counts — only completed runs are.
+  // expiry each chunk stops at a pass boundary (a pass simulates 256
+  // tests), the (fault, test) entries never reached keep response id 0
+  // (undetected), and the status out-param reports completed == false. The
+  // partial matrix is structurally valid (id 0 is still the fault-free
+  // response of every test) but is NOT guaranteed bit-identical across
+  // thread counts — only completed runs are.
   RunBudget budget{};
 };
 

@@ -46,13 +46,17 @@ void TestSet::dedupe() {
 }
 
 void TestSet::pack_batch(std::size_t first, std::size_t count,
-                         std::vector<std::uint64_t>* words) const {
-  if (count > 64) throw std::invalid_argument("pack_batch: count > 64");
-  words->assign(num_inputs_, 0);
+                         std::vector<std::uint64_t>* words,
+                         std::size_t lanes) const {
+  if (count > 64 * lanes)
+    throw std::invalid_argument("pack_batch: count > 64 * lanes");
+  words->assign(num_inputs_ * lanes, 0);
   for (std::size_t t = 0; t < count; ++t) {
     const BitVec& test = tests_.at(first + t);
+    const std::size_t l = t / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (t % 64);
     for (std::size_t i = 0; i < num_inputs_; ++i)
-      if (test.get(i)) (*words)[i] |= std::uint64_t{1} << t;
+      if (test.get(i)) (*words)[i * lanes + l] |= bit;
   }
 }
 

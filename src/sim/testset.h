@@ -40,10 +40,12 @@ class TestSet {
   // Removes duplicate tests, preserving first occurrences.
   void dedupe();
 
-  // Packs tests [first, first+count) into words: word[i] bit t holds
-  // test (first+t) input i. count <= 64; missing slots are zero-filled.
+  // Packs tests [first, first+count) into `lanes` words per input:
+  // word[i*lanes + l] bit t holds input i of test first + 64l + t.
+  // count <= 64*lanes; missing slots are zero-filled.
   void pack_batch(std::size_t first, std::size_t count,
-                  std::vector<std::uint64_t>* words) const;
+                  std::vector<std::uint64_t>* words,
+                  std::size_t lanes = 1) const;
 
  private:
   std::size_t num_inputs_ = 0;

@@ -96,11 +96,62 @@ std::uint32_t avx2_masked_symbol_mismatches(const std::uint32_t* row,
   return mism;
 }
 
+// Batched masked Hamming. A row of at most 4 words is one masked load
+// (vpmaskmovq) against an observation and care vector loaded once per call,
+// its per-word counts come from one psadbw, and four rows share one
+// transposed lane reduction; wider rows call the per-row kernel above.
+void avx2_masked_hamming_rows(const std::uint64_t* const* rows,
+                              std::size_t nrows, const std::uint64_t* obs,
+                              const std::uint64_t* care, std::size_t nwords,
+                              std::uint32_t* out) {
+  if (nwords > 4)
+    return per_row_loop<&avx2_masked_hamming>(rows, nrows, obs, care, nwords,
+                                              out);
+  // Lane i is loaded iff i < nwords: vpmaskmovq reads each lane's sign bit
+  // and never touches the memory of a masked-off lane.
+  const __m256i m =
+      _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(nwords)),
+                         _mm256_setr_epi64x(0, 1, 2, 3));
+  const auto load = [&](const std::uint64_t* p) {
+    return _mm256_maskload_epi64(reinterpret_cast<const long long*>(p), m);
+  };
+  const __m256i o = load(obs);
+  const __m256i c = load(care);
+  const __m256i zero = _mm256_setzero_si256();
+  // Lane i: popcount((row ^ obs) & care) of word i.
+  const auto count = [&](const std::uint64_t* row) {
+    return _mm256_sad_epu8(
+        popcount_epi8(_mm256_and_si256(_mm256_xor_si256(load(row), o), c)),
+        zero);
+  };
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+  std::size_t r = 0;
+  for (; r + 4 <= nrows; r += 4) {
+    const __m256i a = count(rows[r]);
+    const __m256i b = count(rows[r + 1]);
+    const __m256i x = count(rows[r + 2]);
+    const __m256i y = count(rows[r + 3]);
+    // Pairwise sums per 128-bit half: ab = (a0+a1, b0+b1 | a2+a3, b2+b3).
+    const __m256i ab = _mm256_add_epi64(_mm256_unpacklo_epi64(a, b),
+                                        _mm256_unpackhi_epi64(a, b));
+    const __m256i xy = _mm256_add_epi64(_mm256_unpacklo_epi64(x, y),
+                                        _mm256_unpackhi_epi64(x, y));
+    // Adding the low halves to the high halves leaves row r + i in lane i.
+    const __m256i sums =
+        _mm256_add_epi64(_mm256_permute2x128_si256(ab, xy, 0x20),
+                         _mm256_permute2x128_si256(ab, xy, 0x31));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r),
+                     _mm256_castsi256_si128(
+                         _mm256_permutevar8x32_epi32(sums, low_dwords)));
+  }
+  for (; r < nrows; ++r) out[r] = hsum_epi64(count(rows[r]));
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",
     &avx2_masked_hamming,
     &avx2_masked_symbol_mismatches,
-    &per_row_loop<&avx2_masked_hamming>,
+    &avx2_masked_hamming_rows,
     &per_row_loop<&avx2_masked_symbol_mismatches>,
 };
 

@@ -10,6 +10,7 @@
 #include "sim/faultsim.h"
 #include "sim/logicsim.h"
 #include "sim/response.h"
+#include "util/failpoint.h"
 
 namespace sddict {
 namespace {
@@ -397,6 +398,119 @@ TEST(FaultSimulatorRegions, ConstantGates) {
   expect_matches_full_oracle(nl, 2);
 }
 
+// ------------------------------------------------- four-lane simulator --
+
+// The four-lane simulator against one-lane whole-cone oracles: lane l of a
+// batch of `num_patterns` random patterns must report exactly what a
+// one-lane simulator loaded with patterns 64l..64l+63 computes by full
+// injection. Pad slots of the partial lane and every empty lane stay
+// silent, and the four-lane simulate_fault_full agrees with the one-lane
+// one on every gate of every occupied lane. Faults are visited forward and
+// then backward so root effects are both computed and reused.
+void expect_four_lanes_match_oracle(const Netlist& nl,
+                                    std::size_t num_patterns) {
+  using Wide = BasicFaultSimulator<4>;
+  const FaultList faults = enumerate_all_faults(nl);
+  ASSERT_FALSE(faults.empty());
+  Rng rng(num_patterns + 1000);
+  TestSet ts(nl.num_inputs());
+  ts.add_random(num_patterns, rng);
+
+  Wide wide(nl);
+  std::vector<std::uint64_t> words;
+  ts.pack_batch(0, num_patterns, &words, Wide::kLanes);
+  wide.load_batch(words, num_patterns);
+  const std::size_t lanes = (num_patterns + 63) / 64;
+  std::vector<FaultSimulator> narrow;
+  narrow.reserve(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::size_t count = std::min<std::size_t>(64, num_patterns - 64 * l);
+    narrow.emplace_back(nl);
+    ts.pack_batch(64 * l, count, &words);
+    narrow[l].load_batch(words, count);
+    for (GateId g = 0; g < nl.num_gates(); ++g)
+      ASSERT_EQ(wide.good_value(g)[l], narrow[l].good_value(g)) << g;
+  }
+
+  std::vector<std::uint64_t> full;
+  std::vector<Wide::Word> wide_full;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      const StuckFault& f =
+          faults[static_cast<FaultId>(pass == 0 ? k : faults.size() - 1 - k)];
+      std::vector<Wide::Word> expected(nl.num_outputs());
+      Wide::Word expected_any{};
+      wide.simulate_fault_full(f, &wide_full);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::size_t count =
+            std::min<std::size_t>(64, num_patterns - 64 * l);
+        narrow[l].simulate_fault_full(f, &full);
+        for (GateId g = 0; g < nl.num_gates(); ++g)
+          ASSERT_EQ(wide_full[g][l], full[g])
+              << fault_name(nl, f) << " gate " << g << " lane " << l;
+        for (std::size_t o = 0; o < nl.num_outputs(); ++o) {
+          const GateId out = nl.outputs()[o];
+          expected[o][l] = (full[out] ^ narrow[l].good_value(out)) &
+                           first_patterns<1>(count);
+          expected_any[l] |= expected[o][l];
+        }
+      }
+      std::vector<Wide::Word> got(nl.num_outputs());
+      const Wide::Word any =
+          wide.simulate_fault(f, [&](std::size_t o, const Wide::Word& w) {
+            ASSERT_LT(o, got.size());
+            EXPECT_TRUE(w);
+            EXPECT_FALSE(got[o]) << "output " << o << " reported twice";
+            got[o] = w;
+          });
+      EXPECT_EQ(got, expected) << fault_name(nl, f);
+      EXPECT_EQ(any, expected_any) << fault_name(nl, f);
+      EXPECT_EQ(wide.detect_word(f), expected_any) << fault_name(nl, f);
+      EXPECT_FALSE(any & ~first_patterns<4>(num_patterns))
+          << fault_name(nl, f) << " reports a pad slot";
+    }
+  }
+}
+
+TEST(FourLaneSimulator, MatchesOneLaneOracleOnBenchmarks) {
+  for (const std::string name : {"c17", "s27", "s298", "s1423"}) {
+    SCOPED_TRACE(name);
+    const Netlist nl = full_scan(load_benchmark(name));
+    for (std::size_t patterns : {1, 63, 64, 65, 128, 200, 255, 256}) {
+      SCOPED_TRACE(patterns);
+      expect_four_lanes_match_oracle(nl, patterns);
+    }
+  }
+}
+
+TEST(FourLaneSimulator, FirstPatternsMasksEachLane) {
+  const LaneWord<4> none = first_patterns<4>(0);
+  EXPECT_FALSE(none);
+  const LaneWord<4> m = first_patterns<4>(130);
+  EXPECT_EQ(m[0], ~std::uint64_t{0});
+  EXPECT_EQ(m[1], ~std::uint64_t{0});
+  EXPECT_EQ(m[2], 0b11u);
+  EXPECT_EQ(m[3], 0u);
+  EXPECT_EQ(first_patterns<4>(256), ~LaneWord<4>{});
+  EXPECT_EQ(first_patterns<1>(5), 0b11111u);
+}
+
+TEST(TestSet, PackBatchLanes) {
+  TestSet ts(2);
+  Rng rng(4);
+  ts.add_random(130, rng);
+  std::vector<std::uint64_t> words;
+  ts.pack_batch(0, 130, &words, 4);
+  ASSERT_EQ(words.size(), 8u);
+  for (std::size_t t = 0; t < 130; ++t)
+    for (std::size_t i = 0; i < 2; ++i)
+      EXPECT_EQ((words[i * 4 + t / 64] >> (t % 64)) & 1,
+                ts[t].get(i) ? 1u : 0u);
+  EXPECT_EQ(words[3], 0u);  // empty lane
+  EXPECT_EQ(words[2] >> 2, 0u);  // pad slots of the partial lane
+  EXPECT_THROW(ts.pack_batch(0, 130, &words, 2), std::invalid_argument);
+}
+
 // ------------------------------------------------------- response matrix --
 
 TEST(ResponseMatrix, FaultFreeRowsAreZero) {
@@ -521,6 +635,139 @@ TEST(ResponseMatrix, FromTableMatchesManualExpectation) {
   EXPECT_NE(rm.response(0, 1), rm.response(1, 1));
   EXPECT_EQ(rm.num_distinct(0), 3u);
   EXPECT_EQ(rm.num_distinct(1), 3u);
+}
+
+// The response matrix against one built from explicit output vectors: every
+// fault's faulty response under every test comes from one-lane whole-cone
+// simulation, and response_matrix_from_table interns them in the same
+// ascending first-detecting-fault order build_response_matrix promises.
+// Ids, signatures and difference lists must all be equal.
+ResponseMatrix reference_matrix(const Netlist& nl, const FaultList& faults,
+                                const TestSet& ts) {
+  const std::vector<BitVec> good = good_responses(nl, ts);
+  std::vector<std::vector<BitVec>> faulty(faults.size(), good);
+  FaultSimulator fsim(nl);
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> full;
+  for (std::size_t first = 0; first < ts.size(); first += 64) {
+    const std::size_t count = std::min<std::size_t>(64, ts.size() - first);
+    ts.pack_batch(first, count, &words);
+    fsim.load_batch(words, count);
+    for (FaultId i = 0; i < faults.size(); ++i) {
+      fsim.simulate_fault_full(faults[i], &full);
+      for (std::size_t o = 0; o < nl.num_outputs(); ++o) {
+        const std::uint64_t w = full[nl.outputs()[o]];
+        for (std::size_t t = 0; t < count; ++t)
+          faulty[i][first + t].set(o, (w >> t) & 1);
+      }
+    }
+  }
+  return response_matrix_from_table(good, faulty);
+}
+
+void expect_same_matrix(const ResponseMatrix& got, const ResponseMatrix& want,
+                        bool diffs) {
+  ASSERT_EQ(got.num_faults(), want.num_faults());
+  ASSERT_EQ(got.num_tests(), want.num_tests());
+  for (std::size_t t = 0; t < want.num_tests(); ++t) {
+    ASSERT_EQ(got.num_distinct(t), want.num_distinct(t)) << "test " << t;
+    for (FaultId f = 0; f < want.num_faults(); ++f)
+      ASSERT_EQ(got.response(f, t), want.response(f, t))
+          << "fault " << f << " test " << t;
+    for (ResponseId id = 0; id < want.num_distinct(t); ++id) {
+      ASSERT_EQ(got.signature(t, id), want.signature(t, id));
+      if (diffs) {
+        ASSERT_EQ(got.diff_outputs(t, id), want.diff_outputs(t, id));
+      }
+    }
+  }
+}
+
+TEST(ResponseMatrix, MatchesTableBuiltFromFullSimulation) {
+  for (const std::string name : {"s298", "s344"}) {
+    SCOPED_TRACE(name);
+    const Netlist nl = full_scan(load_benchmark(name));
+    const FaultList faults = collapsed_fault_list(nl).collapsed;
+    for (std::size_t num_tests : {1, 64, 65, 256, 257, 600}) {
+      SCOPED_TRACE(num_tests);
+      Rng rng(num_tests);
+      TestSet ts(nl.num_inputs());
+      ts.add_random(num_tests, rng);
+      const ResponseMatrix want = reference_matrix(nl, faults, ts);
+      for (bool diffs : {false, true}) {
+        for (std::size_t threads : {1, 4}) {
+          SCOPED_TRACE(threads);
+          ResponseMatrixStatus status;
+          const ResponseMatrix got = build_response_matrix(
+              nl, faults, ts,
+              {.store_diff_outputs = diffs, .num_threads = threads}, &status);
+          EXPECT_TRUE(status.completed);
+          EXPECT_EQ(status.faults_simulated, faults.size());
+          EXPECT_EQ(got.has_diff_outputs(), diffs);
+          expect_same_matrix(got, want, diffs);
+        }
+      }
+    }
+  }
+}
+
+// A budget that expires after the first of three 256-pattern passes: the
+// tests of that pass carry their complete columns, later tests keep id 0,
+// and no chunk counts as simulated.
+TEST(ResponseMatrix, BudgetExpiringBetweenPassesLeavesValidMatrix) {
+  const Netlist nl = full_scan(load_benchmark("s298"));
+  const FaultList faults = collapsed_fault_list(nl).collapsed;
+  Rng rng(9);
+  TestSet ts(nl.num_inputs());
+  ts.add_random(600, rng);
+  const ResponseMatrix whole = build_response_matrix(nl, faults, ts);
+
+  ResponseMatrixStatus status;
+  failpoint::arm("simulate_pass.expire", 2);
+  const ResponseMatrix rm =
+      build_response_matrix(nl, faults, ts, {.num_threads = 1}, &status);
+  failpoint::disarm("simulate_pass.expire");
+  EXPECT_FALSE(status.completed);
+  EXPECT_EQ(status.stop_reason, StopReason::kDeadline);
+  EXPECT_EQ(status.faults_simulated, 0u);
+  for (std::size_t t = 0; t < rm.num_tests(); ++t) {
+    ASSERT_EQ(rm.fault_free_id(t), 0u);
+    if (t < 256) {
+      ASSERT_EQ(rm.num_distinct(t), whole.num_distinct(t)) << t;
+      for (FaultId f = 0; f < rm.num_faults(); ++f)
+        ASSERT_EQ(rm.response(f, t), whole.response(f, t));
+    } else {
+      ASSERT_EQ(rm.num_distinct(t), 1u) << t;
+      for (FaultId f = 0; f < rm.num_faults(); ++f)
+        ASSERT_EQ(rm.response(f, t), 0u);
+    }
+  }
+
+  // Across threads the expiry lands at a different point of every chunk;
+  // whatever was filled in names the right response, and every chunk
+  // counted as simulated carries complete rows.
+  failpoint::arm("simulate_pass.expire", 6);
+  const ResponseMatrix part =
+      build_response_matrix(nl, faults, ts, {.num_threads = 4}, &status);
+  failpoint::disarm("simulate_pass.expire");
+  EXPECT_FALSE(status.completed);
+  std::size_t complete_rows = 0;
+  for (FaultId f = 0; f < part.num_faults(); ++f) {
+    bool complete = true;
+    for (std::size_t t = 0; t < part.num_tests(); ++t) {
+      ASSERT_LT(part.response(f, t), part.num_distinct(t));
+      const ResponseId id = part.response(f, t);
+      if (id != 0) {
+        ASSERT_EQ(part.signature(t, id),
+                  whole.signature(t, whole.response(f, t)));
+      }
+      complete = complete && id == whole.response(f, t);
+    }
+    complete_rows += complete;
+  }
+  for (std::size_t t = 0; t < part.num_tests(); ++t)
+    ASSERT_EQ(part.fault_free_id(t), 0u);
+  EXPECT_LE(status.faults_simulated, complete_rows);
 }
 
 }  // namespace
