@@ -1,11 +1,11 @@
 // Thread-scaling of the dictionary-construction pipeline: fault simulation
-// (build_response_matrix), Procedure-1 restarts (run_procedure1), then the
-// single-threaded Procedure 2 (run_procedure2) and same/different
-// dictionary build, at 1/2/4/8 threads, with a built-in bit-identity check
-// of every multi-thread result (matrix, both procedures' baselines, pair
-// counts) against the first thread count's — the parallel pipeline
-// guarantees identical output at every thread count, and this bench fails
-// (exit 1) if that ever breaks.
+// (build_response_matrix), Procedure-1 restarts (run_procedure1),
+// Procedure 2's parallel scoring (run_procedure2) and the single-threaded
+// same/different dictionary build, at 1/2/4/8 threads, with a built-in
+// bit-identity check of every multi-thread result (matrix, both
+// procedures' baselines, pair counts) against the first thread count's —
+// the parallel pipeline guarantees identical output at every thread count,
+// and this bench fails (exit 1) if that ever breaks.
 //
 //   $ ./bench_parallel_scaling                         # s1423,s5378,s9234
 //   $ ./bench_parallel_scaling --circuits=s9234 --tests=200 --calls1=50
@@ -22,6 +22,7 @@
 #include "fault/collapse.h"
 #include "json_writer.h"
 #include "netlist/transform.h"
+#include "store/kernels.h"
 #include "util/cli.h"
 #include "util/log.h"
 #include "util/threadpool.h"
@@ -56,6 +57,21 @@ bool same_procedure2(const Procedure2Result& a, const Procedure2Result& b) {
   return a.baselines == b.baselines &&
          a.indistinguished_pairs == b.indistinguished_pairs &&
          a.replacements == b.replacements && a.sweeps == b.sweeps;
+}
+
+// The checkout's revision (`git describe --always --dirty`), or "unknown".
+std::string source_revision() {
+  std::string rev;
+  if (FILE* p = popen("git -C '" SDDICT_SOURCE_DIR
+                      "' describe --always --dirty --abbrev=12 2>/dev/null",
+                      "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) rev += buf;
+    pclose(p);
+  }
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r'))
+    rev.pop_back();
+  return rev.empty() ? "unknown" : rev;
 }
 
 int usage() {
@@ -107,9 +123,13 @@ int main(int argc, char** argv) {
     return usage();
   }
 
+  const std::size_t nproc = ThreadPool::default_num_threads();
+  const std::string revision = source_revision();
   std::printf("Parallel dictionary-construction scaling "
-              "(%zu random tests, CALLS1=%zu, %zu hardware threads)\n\n",
-              num_tests, bcfg.calls1, ThreadPool::default_num_threads());
+              "(%zu random tests, CALLS1=%zu, %zu hardware threads)\n"
+              "kernel=%s build=%s rev=%s\n\n",
+              num_tests, bcfg.calls1, nproc, kernels::dispatch().name,
+              SDDICT_BUILD_TYPE, revision.c_str());
   std::printf("%-8s %8s %10s %10s %10s %10s %10s %9s %10s\n", "circuit",
               "threads", "sim (s)", "proc1 (s)", "proc2 (s)", "s/d (s)",
               "total (s)", "speedup", "identical");
@@ -146,7 +166,8 @@ int main(int argc, char** argv) {
       const double p1_s = p1_timer.seconds();
 
       Timer p2_timer;
-      Procedure2Result p2 = run_procedure2(rm, sel.baselines);
+      Procedure2Result p2 =
+          run_procedure2(rm, sel.baselines, {.num_threads = threads});
       const double p2_s = p2_timer.seconds();
 
       Timer sd_timer;
@@ -193,6 +214,13 @@ int main(int argc, char** argv) {
                 (unsigned long long)reference_p2.indistinguished_pairs,
                 reference_sel.calls_used, reference_p2.replacements);
   }
+
+  // Where the numbers were measured.
+  const char* const bench = "bench_parallel_scaling";
+  records.push_back({bench, "host", 0, "nproc", static_cast<double>(nproc)});
+  records.push_back({bench, "host", 0, "kernel", 0, kernels::dispatch().name});
+  records.push_back({bench, "host", 0, "build_type", 0, SDDICT_BUILD_TYPE});
+  records.push_back({bench, "host", 0, "revision", 0, revision});
 
   if (!json_path.empty()) {
     try {

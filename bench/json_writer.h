@@ -1,7 +1,8 @@
 // Tiny machine-readable result sink shared by the benchmark drivers: a
 // flat JSON array of {benchmark, circuit, threads, metric, value} records,
 // one per measured number, so CI can archive and diff benchmark runs
-// without scraping the human-oriented tables.
+// without scraping the human-oriented tables. A record with `text` set
+// carries a string value, e.g. the build type a run was measured with.
 //
 //   [
 //     {"benchmark": "bench_throughput", "circuit": "s1423", "threads": 4,
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <cmath>
@@ -23,11 +25,22 @@
 namespace sddict::bench {
 
 struct JsonRecord {
+  JsonRecord(std::string benchmark_, std::string circuit_,
+             std::size_t threads_, std::string metric_, double value_,
+             std::string text_ = {})
+      : benchmark(std::move(benchmark_)),
+        circuit(std::move(circuit_)),
+        threads(threads_),
+        metric(std::move(metric_)),
+        value(value_),
+        text(std::move(text_)) {}
+
   std::string benchmark;  // driver name, e.g. "bench_throughput"
   std::string circuit;    // benchmark circuit the number was measured on
   std::size_t threads = 0;  // thread count of the configuration (0 = n/a)
   std::string metric;     // e.g. "qps_b8", "kernel_speedup", "sim_s"
   double value = 0;
+  std::string text;       // when set, written as the value instead
 };
 
 namespace detail {
@@ -71,7 +84,9 @@ inline void write_bench_json(const std::string& path,
     out += ", \"metric\": ";
     detail::append_json_string(&out, r.metric);
     out += ", \"value\": ";
-    if (std::isfinite(r.value)) {
+    if (!r.text.empty()) {
+      detail::append_json_string(&out, r.text);
+    } else if (std::isfinite(r.value)) {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.9g", r.value);
       out += buf;

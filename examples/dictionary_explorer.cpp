@@ -181,7 +181,8 @@ int main(int argc, char** argv) {
   bcfg.seed = seed;
   bcfg.num_threads = threads;
   bcfg.budget = pipeline.nested();
-  const Construction c = construct(rm, bcfg, {.budget = pipeline.nested()});
+  const Construction c = construct(
+      rm, bcfg, {.num_threads = threads, .budget = pipeline.nested()});
   const SameDifferentDictionary sd =
       SameDifferentDictionary::build(rm, c.proc2.baselines);
 
@@ -304,7 +305,7 @@ int main(int argc, char** argv) {
             nl, faults, appended, {.num_threads = threads});
         const SignatureStore added =
             SignatureStore::build(SameDifferentDictionary::build(
-                arm, construct(arm, bcfg).proc2.baselines));
+                arm, construct(arm, bcfg, {.num_threads = threads}).proc2.baselines));
         prov.tests_hash = hash_hex(hash_testset(extended));
         prov.config += ",append=" + std::to_string(append_n);
         const ManifestEntry entry = repo.publish_delta(

@@ -98,16 +98,19 @@ BaselineSelection procedure1_on_classes(const ResponseMatrix& rm,
   for (std::size_t j = 0; j < rm.num_tests(); ++j)
     sel.baselines[j] = rm.fault_free_id(j);
   Partition part(classes.size());
+  std::vector<std::uint32_t> scored;  // open classes that scored, ascending
   for (std::size_t j : order) {
     if (part.fully_refined()) break;
     const auto col = rm.column(j);
     CandidateScorer scorer(col, classes, rm.num_distinct(j));
+    scored.clear();
     for (std::uint32_t c : part.open_classes())
-      scorer.add_group(part.members(c));
+      if (scorer.add_group(part.members(c))) scored.push_back(c);
     const ResponseId chosen = scan_with_lower(scorer.dist(), lower);
     sel.baselines[j] = chosen;
-    part.refine_with([&](std::uint32_t e) {
-      return static_cast<std::uint32_t>(col[classes.rep[e]] == chosen);
+    // A class that did not score shares one response, hence one label.
+    part.refine_classes(scored, [&](std::uint32_t e) {
+      return col[classes.rep[e]] == chosen;
     });
   }
   sel.indistinguished_pairs = weighted_pairs(part, classes);
@@ -131,9 +134,8 @@ BaselineSelection passfail_floor(const ResponseMatrix& rm,
     passfail.baselines[j] = ff;
     const auto col = rm.column(j);
     if (!part.fully_refined())
-      part.refine_with([&](std::uint32_t e) {
-        return static_cast<std::uint32_t>(col[classes.rep[e]] == ff);
-      });
+      part.refine_with(
+          [&](std::uint32_t e) { return col[classes.rep[e]] == ff; });
   }
   passfail.indistinguished_pairs = weighted_pairs(part, classes);
   passfail.distinguished_pairs =

@@ -17,6 +17,11 @@
 // baseline, so the rows scored are one weighted row per full-response
 // class (ResponseClasses): the partition refines class representatives,
 // and a class of w faults counts as w faults in every score and pair count.
+//
+// A class whose members all share the test's response scores nothing and
+// cannot split under any baseline, so the scorer reports it and the pass
+// refines only the classes that scored, by the two-way (bool) split
+// "response == chosen baseline" (Partition::refine_classes).
 #pragma once
 
 #include <cstdint>
@@ -107,7 +112,8 @@ ResponseClasses response_classes(const ResponseMatrix& rm);
 // classes of the not-yet-distinguished relation as the groups this is the
 // paper's dist(z) (Procedure 1); with the groups of rows that agree on
 // every other dictionary column it is the pair gain Procedure 2 maximizes.
-// Groups of one class score nothing and may be left out.
+// Groups of one class, and groups whose classes all share the test's
+// response, score nothing and may be left out; add_group reports them.
 class CandidateScorer {
  public:
   // `column` holds the test's response id of every fault; group members
@@ -120,10 +126,24 @@ class CandidateScorer {
         dist_(num_candidates, 0),
         count_(num_candidates, 0) {}
 
-  void add_group(std::span<const std::uint32_t> members) {
+  // Adds one group's scores. A group that is empty or whose members all
+  // share one response scores nothing and can never split; add_group
+  // returns false for it after one read of the members' responses, and
+  // true when it scored.
+  bool add_group(std::span<const std::uint32_t> members) {
+    if (members.empty()) return false;
+    const ResponseId first = column_[rep_[members[0]]];
+    std::size_t i = 1;
+    while (i < members.size() && column_[rep_[members[i]]] == first) ++i;
+    if (i == members.size()) return false;
+
     touched_.clear();
+    touched_.push_back(first);
     std::uint32_t total = 0;
-    for (std::uint32_t e : members) {
+    for (std::size_t p = 0; p < i; ++p) total += weight_[members[p]];
+    count_[first] = total;
+    for (; i < members.size(); ++i) {
+      const std::uint32_t e = members[i];
       const ResponseId r = column_[rep_[e]];
       const std::uint32_t w = weight_[e];
       total += w;
@@ -134,6 +154,7 @@ class CandidateScorer {
       dist_[r] += static_cast<std::uint64_t>(count_[r]) * (total - count_[r]);
       count_[r] = 0;
     }
+    return true;
   }
 
   const std::vector<std::uint64_t>& dist() const { return dist_; }

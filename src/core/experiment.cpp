@@ -41,8 +41,8 @@ ExperimentRow run_experiment(const Netlist& nl, TestSetKind kind,
   row.sizes = dictionary_sizes(tests.size(), faults.size(), nl.num_outputs());
 
   timer.reset();
-  // Fault simulation reuses the baseline-selection thread knob; both stages
-  // are bit-deterministic at any thread count.
+  // Fault simulation and Procedure 2 reuse the baseline-selection thread
+  // knob; every stage is bit-deterministic at any thread count.
   const ResponseMatrix rm = build_response_matrix(
       nl, faults, tests, {.num_threads = config.baseline.num_threads});
   row.seconds_faultsim = timer.seconds();
@@ -50,7 +50,9 @@ ExperimentRow run_experiment(const Netlist& nl, TestSetKind kind,
   for (std::uint32_t count : rm.detection_counts())
     if (count == 0) ++row.num_undetected;
 
-  const Construction c = construct(rm, config.baseline, config.proc2);
+  Procedure2Config proc2 = config.proc2;
+  proc2.num_threads = config.baseline.num_threads;
+  const Construction c = construct(rm, config.baseline, proc2);
   row.indist_full = c.full_pairs;
   row.indist_passfail = PassFailDictionary::build(rm).indistinguished_pairs();
   row.seconds_proc1 = c.proc1_s;

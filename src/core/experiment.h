@@ -21,7 +21,9 @@ const char* test_set_kind_name(TestSetKind k);  // "diag" / "10det"
 
 struct ExperimentConfig {
   BaselineSelectionConfig baseline;
-  Procedure2Config proc2;  // construct() sets both targets
+  // construct() sets both targets; run_experiment sets proc2.num_threads
+  // to baseline.num_threads.
+  Procedure2Config proc2;
   NDetectOptions ndetect;
   DiagSetOptions diag;
 };

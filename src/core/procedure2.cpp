@@ -12,6 +12,7 @@
 #include "dict/partition.h"
 #include "util/flat_interner.h"
 #include "util/log.h"
+#include "util/threadpool.h"
 #include "util/timer.h"
 
 namespace sddict {
@@ -48,12 +49,14 @@ class SignatureGroups {
   std::uint64_t group(std::span<const Hash128> sig) {
     index_.clear();
     key_.clear();
+    first_.clear();
     size_.clear();
     total_.clear();
     for (std::size_t e = 0; e < group_of_.size(); ++e) {
       const std::uint32_t g = index_.intern(sig[e]);
       if (g == size_.size()) {
         key_.push_back(sig[e]);
+        first_.push_back(static_cast<std::uint32_t>(e));
         size_.push_back(0);
         total_.push_back(0);
       }
@@ -63,12 +66,20 @@ class SignatureGroups {
     }
     lay_out_members();
     build_key_index();
-    joined_.assign(size_.size(), 0);
-    stamp_ = 0;
     std::uint64_t pairs = 0;
     for (std::size_t w : total_) pairs += Partition::pairs(w);
     return pairs;
   }
+
+  // Working state of one thread's score_rest_groups calls.
+  struct RestScratch {
+    // joined[g] == stamp marks group g as joined in the current call;
+    // stamps only grow, so entries left by earlier groupings read as
+    // unjoined.
+    std::vector<std::uint32_t> joined;
+    std::uint32_t stamp = 0;
+    std::vector<std::uint32_t> both;
+  };
 
   // Feeds the scorer every rest group of two or more rows for one test,
   // where bit_of(e) is row e's bit for the test and `tok` its token. A
@@ -77,26 +88,33 @@ class SignatureGroups {
   // group whose signature is its own XOR tok, if there is one (its bit is
   // clear: the signatures differ in exactly that bit); every other group
   // is a rest group by itself. Returns the fault pairs the joins add to
-  // group()'s count: W_g * W_h per joined pair.
+  // group()'s count: W_g * W_h per joined pair. Reads the groups only, so
+  // threads with their own scorer and scratch may call it concurrently.
   template <typename BitOf>
   std::uint64_t score_rest_groups(const Hash128& tok, BitOf&& bit_of,
-                                  CandidateScorer* scorer) {
-    ++stamp_;
+                                  CandidateScorer* scorer,
+                                  RestScratch* scratch) const {
+    std::vector<std::uint32_t>& joined = scratch->joined;
+    if (joined.size() < size_.size()) joined.resize(size_.size(), 0);
+    if (++scratch->stamp == 0) {  // wrapped: old stamps would read as live
+      std::fill(joined.begin(), joined.end(), 0);
+      scratch->stamp = 1;
+    }
+    const std::uint32_t stamp = scratch->stamp;
     std::uint64_t added = 0;
-    for (std::uint32_t e = 0; e < group_of_.size(); ++e) {
-      if (!bit_of(e)) continue;
-      const std::uint32_t g = group_of_[e];
-      if (first(g) != e) continue;  // each group once, at its first row
+    for (std::uint32_t g = 0; g < key_.size(); ++g) {
+      if (!bit_of(first_[g])) continue;
       const std::uint32_t h = find(key_[g] ^ tok);
       if (h == kNone) continue;
       added += static_cast<std::uint64_t>(total_[g]) * total_[h];
-      joined_[g] = joined_[h] = stamp_;
-      both_.assign(members(g).begin(), members(g).end());
-      both_.insert(both_.end(), members(h).begin(), members(h).end());
-      scorer->add_group(both_);
+      joined[g] = joined[h] = stamp;
+      scratch->both.assign(members(g).begin(), members(g).end());
+      scratch->both.insert(scratch->both.end(), members(h).begin(),
+                           members(h).end());
+      scorer->add_group(scratch->both);
     }
     for (std::uint32_t g : multi_)
-      if (joined_[g] != stamp_) scorer->add_group(members(g));
+      if (joined[g] != stamp) scorer->add_group(members(g));
     return added;
   }
 
@@ -106,7 +124,6 @@ class SignatureGroups {
   std::span<const std::uint32_t> members(std::uint32_t g) const {
     return {members_.data() + start_[g], size_[g]};
   }
-  std::uint32_t first(std::uint32_t g) const { return members_[start_[g]]; }
 
   // A counting pass lays the groups out back to back, members ascending,
   // and lists the groups of two or more rows. start_[g + 1] begins group g
@@ -126,8 +143,17 @@ class SignatureGroups {
   // find() looks a signature up without inserting it, which FlatInterner
   // cannot do: the groups are bucketed by the top bits of their
   // signature's hash, about half a group per bucket, by a counting pass
-  // laid out like lay_out_members.
+  // laid out like lay_out_members. Most lookups miss, so a bitmap of the
+  // signatures' low bits, about one bit in sixteen set and small enough
+  // for the L1 cache, turns most misses away before the buckets.
   void build_key_index() {
+    filter_mask_ =
+        std::bit_ceil(std::max<std::size_t>(64, 16 * key_.size())) - 1;
+    filter_.assign((filter_mask_ + 1) / 64, 0);
+    for (const Hash128& k : key_) {
+      const std::uint64_t bit = k.lo & filter_mask_;
+      filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+    }
     const std::size_t buckets =
         std::bit_ceil(std::max<std::size_t>(16, 2 * key_.size()));
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
@@ -142,6 +168,8 @@ class SignatureGroups {
 
   // The group whose signature is `key`, or kNone.
   std::uint32_t find(const Hash128& key) const {
+    const std::uint64_t bit = key.lo & filter_mask_;
+    if ((filter_[bit / 64] >> (bit % 64) & 1) == 0) return kNone;
     const std::size_t b = bucket(key);
     for (std::uint32_t i = bucket_start_[b]; i < bucket_start_[b + 1]; ++i)
       if (key_[bucket_groups_[i]] == key) return bucket_groups_[i];
@@ -159,6 +187,7 @@ class SignatureGroups {
   FlatInterner<Hash128, Hash128Hasher> index_;
   std::vector<std::uint32_t> group_of_;  // row -> group
   std::vector<Hash128> key_;             // group -> signature
+  std::vector<std::uint32_t> first_;     // group -> its lowest row
   std::vector<std::uint32_t> size_;      // group -> member rows
   std::vector<std::uint32_t> total_;     // group -> total weight
   std::vector<std::uint32_t> start_;     // group -> its range of members_
@@ -167,35 +196,32 @@ class SignatureGroups {
   unsigned shift_ = 64;
   std::vector<std::uint32_t> bucket_start_;
   std::vector<std::uint32_t> bucket_groups_;
-  // Working state of score_rest_groups: joined_[g] == stamp_ marks a group
-  // joined in the current call.
-  std::vector<std::uint32_t> joined_;
-  std::uint32_t stamp_ = 0;
-  std::vector<std::uint32_t> both_;
+  std::vector<std::uint64_t> filter_;  // bit lo & filter_mask_ of each key
+  std::uint64_t filter_mask_ = 0;
 };
 
-// Same/different row signatures of `rows` rows under `baselines`, row e
-// being fault fault_of(e)'s row; see row_signatures.
+// Same/different row signatures under `baselines` of rows [begin, end),
+// row e being fault fault_of(e)'s row, into sig[e]; see row_signatures.
 template <typename FaultOf>
-std::vector<Hash128> signatures(const ResponseMatrix& rm,
-                                const std::vector<ResponseId>& baselines,
-                                std::size_t rows, FaultOf&& fault_of) {
-  std::vector<Hash128> sig(rows);
+void sign_rows(const ResponseMatrix& rm,
+               const std::vector<ResponseId>& baselines, std::size_t begin,
+               std::size_t end, FaultOf&& fault_of, Hash128* sig) {
   for (std::size_t j = 0; j < rm.num_tests(); ++j) {
     const auto col = rm.column(j);
     const Hash128 tok = test_token(j);
-    for (std::size_t e = 0; e < rows; ++e)
+    for (std::size_t e = begin; e < end; ++e)
       if (col[fault_of(e)] != baselines[j]) sig[e] ^= tok;
   }
-  return sig;
 }
 
 }  // namespace
 
 std::vector<Hash128> row_signatures(const ResponseMatrix& rm,
                                     const std::vector<ResponseId>& baselines) {
-  return signatures(rm, baselines, rm.num_faults(),
-                    [](std::size_t f) { return f; });
+  std::vector<Hash128> sig(rm.num_faults());
+  sign_rows(rm, baselines, 0, sig.size(), [](std::size_t f) { return f; },
+            sig.data());
+  return sig;
 }
 
 std::uint64_t count_indistinguished(const ResponseMatrix& rm,
@@ -227,8 +253,13 @@ Procedure2Result run_procedure2(const ResponseMatrix& rm,
 
   Procedure2Result res;
   res.baselines = std::move(initial_baselines);
-  std::vector<Hash128> sig = signatures(rm, res.baselines, m,
-                                        [&](std::size_t e) { return rep[e]; });
+  const std::size_t threads = ThreadPool::resolve(config.num_threads);
+  ThreadPool pool(threads);
+  std::vector<Hash128> sig(m);
+  pool.parallel_for_chunks(0, m, threads, [&](std::size_t b, std::size_t e) {
+    sign_rows(rm, res.baselines, b, e, [&](std::size_t r) { return rep[r]; },
+              sig.data());
+  });
   SignatureGroups groups(classes.weight);
   std::uint64_t dup = groups.group(sig);
 
@@ -246,45 +277,87 @@ Procedure2Result run_procedure2(const ResponseMatrix& rm,
   // Scanning Z_j with the paper's accept-if-better rule converges to that
   // argmax, which is what this computes directly. The rest groups are
   // derived from the signature groups, which change only when a baseline
-  // is replaced, so a test costs one pass over the rows plus one lookup
+  // is replaced, so a test costs one pass over the groups plus one lookup
   // per group whose bit is set.
+  //
+  // A test's scores depend on the groups alone, so the tests ahead are
+  // scored speculatively, a block at a time on the pool, against the
+  // current groups. The commit walks the block in test order with the
+  // serial loop's stop checks and budget polls; a replacement changes the
+  // groups, so scoring starts over from the next test. Every committed
+  // score is therefore the one the serial loop computes, at every thread
+  // count.
+  struct Score {
+    std::uint64_t added = 0;  // pairs the rest groups add to dup
+    ResponseId best = 0;      // the baseline to keep or take
+    std::uint64_t gain = 0;   // its score
+  };
+  using RestScratch = SignatureGroups::RestScratch;
+  const auto score_test = [&](std::size_t j, RestScratch* scratch) {
+    const std::size_t num_candidates = rm.num_distinct(j);
+    const auto col = rm.column(j);
+    const ResponseId old_bl = res.baselines[j];
+    CandidateScorer scorer(col, classes, num_candidates);
+    Score sc;
+    sc.added = groups.score_rest_groups(
+        test_token(j), [&](std::uint32_t e) { return col[rep[e]] != old_bl; },
+        &scorer, scratch);
+    // Keep the current baseline unless some candidate is strictly better;
+    // otherwise take the lowest best one.
+    const std::vector<std::uint64_t>& gain = scorer.dist();
+    sc.best = old_bl;
+    for (ResponseId z = 0; z < num_candidates; ++z)
+      if (gain[z] > gain[sc.best]) sc.best = z;
+    sc.gain = gain[sc.best];
+    return sc;
+  };
+
+  std::vector<RestScratch> scratch(threads);
+  // A block of a few tests per thread: a replacement discards the scores
+  // after it in the block, and replacements are rare (15 of 600 test
+  // visits on s9234 with 200 patterns).
+  const std::size_t block = threads == 1 ? 1 : 2 * threads;
+  std::vector<Score> scores(block);
+  std::size_t scored_begin = 0;
+  std::size_t scored_end = 0;  // scores[j - scored_begin] hold for these j
+  const auto score_block = [&](std::size_t first) {
+    scored_begin = first;
+    scored_end = std::min(k, first + block);
+    const std::size_t count = scored_end - scored_begin;
+    pool.parallel_for(0, std::min(threads, count), [&](std::size_t w) {
+      for (std::size_t i = w; i < count; i += threads)
+        if (rm.num_distinct(first + i) >= 2)
+          scores[i] = score_test(first + i, &scratch[w]);
+    });
+  };
+
   BudgetScope scope(config.budget);
   bool improved = true;
   while (improved && res.sweeps < config.max_sweeps &&
          dup > config.target_indistinguished && !scope.stop()) {
     improved = false;
     ++res.sweeps;
+    scored_end = 0;
     for (std::size_t j = 0;
          j < k && dup > config.target_indistinguished && !scope.stop(); ++j) {
-      const std::size_t num_candidates = rm.num_distinct(j);
-      if (num_candidates < 2) continue;
-      const auto col = rm.column(j);
-      const Hash128 tok = test_token(j);
+      if (rm.num_distinct(j) < 2) continue;
+      if (j >= scored_end) score_block(j);
+      const Score& sc = scores[j - scored_begin];
       const ResponseId old_bl = res.baselines[j];
-
-      CandidateScorer scorer(col, classes, num_candidates);
-      const std::uint64_t dup_base =
-          dup + groups.score_rest_groups(
-                    tok, [&](std::uint32_t e) { return col[rep[e]] != old_bl; },
-                    &scorer);
-      const std::vector<std::uint64_t>& gain = scorer.dist();
-
-      // Keep the current baseline unless some candidate is strictly
-      // better; otherwise take the lowest best one.
-      ResponseId best_z = old_bl;
-      for (ResponseId z = 0; z < num_candidates; ++z)
-        if (gain[z] > gain[best_z]) best_z = z;
-      if (best_z == old_bl) continue;
+      if (sc.best == old_bl) continue;
 
       // Apply: flip the two affected response groups' row signatures and
       // regroup the rows.
-      dup = dup_base - gain[best_z];
+      const auto col = rm.column(j);
+      const Hash128 tok = test_token(j);
+      dup = dup + sc.added - sc.gain;
       for (std::size_t e = 0; e < m; ++e)
-        if (col[rep[e]] == old_bl || col[rep[e]] == best_z) sig[e] ^= tok;
+        if (col[rep[e]] == old_bl || col[rep[e]] == sc.best) sig[e] ^= tok;
       groups.group(sig);
-      res.baselines[j] = best_z;
+      res.baselines[j] = sc.best;
       ++res.replacements;
       improved = true;
+      scored_end = j + 1;  // the scores ahead were for the old groups
     }
   }
 

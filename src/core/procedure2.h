@@ -17,6 +17,14 @@
 // off the groups of equal signatures: a group whose bit j is set joins the
 // group whose signature differs from its own by exactly test j's token, if
 // that group's bit is clear.
+//
+// A test's scores depend only on the signature groups, which change only
+// when a baseline is replaced. The tests ahead are therefore scored in
+// parallel, a block at a time, against the current groups, and committed
+// in test order — with the serial loop's target and budget checks — up to
+// the first replacement; scoring then restarts from the next test against
+// the new groups. Every committed score is the serial one, so the result
+// is bit-identical at every thread count.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +54,11 @@ struct Procedure2Config {
   // the full-dictionary count; nothing can do better).
   std::uint64_t target_indistinguished = 0;
   std::size_t max_sweeps = 100;
+  // Worker threads for scoring; 0 = hardware concurrency. The tests ahead
+  // are scored in parallel against the current signature groups and
+  // committed in test order up to the first replacement, so the result is
+  // bit-identical at every thread count.
+  std::size_t num_threads = 0;
   // Deadline/cancellation, polled before each test column within a sweep.
   RunBudget budget{};
 };

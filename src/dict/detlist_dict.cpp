@@ -16,9 +16,8 @@ DetectionListDictionary DetectionListDictionary::build(const ResponseMatrix& rm)
 
   d.partition_ = Partition(rm.num_faults());
   for (std::size_t t = 0; t < rm.num_tests(); ++t) {
-    d.partition_.refine_with([&](std::uint32_t f) {
-      return static_cast<std::uint32_t>(rm.detected(f, t));
-    });
+    const auto col = rm.column(t);
+    d.partition_.refine_with([&](std::uint32_t f) { return col[f] != 0; });
     if (d.partition_.fully_refined()) break;
   }
   return d;

@@ -17,7 +17,18 @@ FullDictionary FullDictionary::build(const ResponseMatrix& rm) {
       for (std::size_t t = first; t < last; ++t)
         entries[f * k + t] = rm.response(static_cast<FaultId>(f), t);
   }
-  return from_entries(std::move(entries), n, k, rm.num_outputs());
+  FullDictionary d;
+  d.num_faults_ = n;
+  d.num_tests_ = k;
+  d.num_outputs_ = rm.num_outputs();
+  d.entries_ = std::move(entries);
+  // Refine from the matrix's contiguous columns, not the strided rows.
+  d.partition_ = Partition(n);
+  for (std::size_t t = 0; t < k && !d.partition_.fully_refined(); ++t) {
+    const auto col = rm.column(t);
+    d.partition_.refine_with([&](std::uint32_t f) { return col[f]; });
+  }
+  return d;
 }
 
 FullDictionary FullDictionary::from_entries(std::vector<ResponseId> entries,

@@ -13,12 +13,18 @@
 // two or more members (singletons can never split again) and writes each
 // one's labels into reused scratch; a class whose labels all agree is left
 // alone, and a class that splits is rearranged in place by one counting
-// pass.
+// pass. A labeler that returns bool takes a two-way path instead: one
+// stable pass per class moves the members that disagree with the first
+// member into scratch and appends them, with no label interning. Both
+// paths produce the same class ids, member order, open list and pair
+// counts for the same labeling.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/flat_interner.h"
@@ -54,24 +60,27 @@ class Partition {
   // they share a label. Returns the number of pairs separated.
   std::uint64_t refine(const std::vector<std::uint32_t>& labels);
 
-  // Same, with a callable element -> label.
+  // Same, with a callable element -> label. A callable returning bool
+  // takes the two-way path.
   template <typename F>
   std::uint64_t refine_with(F&& label_of) {
+    return refine_classes(open_, label_of);
+  }
+
+  // refine_with restricted to the open classes `ids`, ascending. The
+  // caller vouches that every other class has a single label, so the
+  // result equals refine_with's: the skipped classes would not split.
+  template <typename F>
+  std::uint64_t refine_classes(std::span<const std::uint32_t> ids,
+                               F&& label_of) {
     std::uint64_t separated = 0;
     const std::size_t orig_classes = ranges_.size();
-    for (std::uint32_t c : open_) {
-      const Range r = ranges_[c];
-      const std::size_t m = r.end - r.begin;
-      if (labels_.size() < m) labels_.resize(m);
-      const std::uint32_t* e = elems_.data() + r.begin;
-      const std::uint32_t first = label_of(e[0]);
-      labels_[0] = first;
-      bool uniform = true;
-      for (std::size_t i = 1; i < m; ++i) {
-        labels_[i] = label_of(e[i]);
-        uniform &= labels_[i] == first;
-      }
-      if (!uniform) separated += split(c);
+    for (std::uint32_t c : ids) {
+      if constexpr (std::is_same_v<std::invoke_result_t<F&, std::uint32_t>,
+                                   bool>)
+        separated += split_two_way(c, label_of);
+      else
+        separated += split_labeled(c, label_of);
     }
     if (ranges_.size() > orig_classes) update_open(orig_classes);
     open_pairs_ -= separated;
@@ -91,9 +100,58 @@ class Partition {
     std::uint32_t end = 0;
   };
 
+  // Labels class c's members into labels_ and splits it unless they all
+  // agree; returns the pairs separated.
+  template <typename F>
+  std::uint64_t split_labeled(std::uint32_t c, F& label_of) {
+    const Range r = ranges_[c];
+    const std::size_t m = r.end - r.begin;
+    if (labels_.size() < m) labels_.resize(m);
+    const std::uint32_t* e = elems_.data() + r.begin;
+    const std::uint32_t first = label_of(e[0]);
+    labels_[0] = first;
+    bool uniform = true;
+    for (std::size_t i = 1; i < m; ++i) {
+      labels_[i] = label_of(e[i]);
+      uniform &= labels_[i] == first;
+    }
+    return uniform ? 0 : split(c);
+  }
+
   // Splits class c by the labels in labels_[0, |c|); returns the pairs
   // separated.
   std::uint64_t split(std::size_t c);
+
+  // Splits class c in two by a bool labeling in one stable pass: members
+  // labeled like the first member are compacted in place, the others
+  // collect in scratch and become a new class behind them. Branch-free:
+  // each member is written to both sides and only one cursor advances.
+  template <typename F>
+  std::uint64_t split_two_way(std::uint32_t c, F& label_of) {
+    const Range r = ranges_[c];
+    const std::size_t m = r.end - r.begin;
+    if (scattered_.size() < m) scattered_.resize(m);
+    std::uint32_t* e = elems_.data() + r.begin;
+    std::uint32_t* other = scattered_.data();
+    const bool first = label_of(e[0]);
+    std::size_t kept = 1;
+    std::size_t moved = 0;
+    for (std::size_t i = 1; i < m; ++i) {
+      const std::uint32_t x = e[i];
+      const bool same = label_of(x) == first;
+      e[kept] = x;  // kept <= i: never an unread member
+      other[moved] = x;
+      kept += same;
+      moved += !same;
+    }
+    if (moved == 0) return 0;
+    std::copy_n(other, moved, e + kept);
+    const auto id = static_cast<std::uint32_t>(ranges_.size());
+    ranges_[c].end = r.begin + static_cast<std::uint32_t>(kept);
+    ranges_.push_back({ranges_[c].end, r.end});
+    for (std::size_t i = 0; i < moved; ++i) class_of_[other[i]] = id;
+    return static_cast<std::uint64_t>(kept) * moved;
+  }
 
   // Drops classes that became singletons from open_ and appends the open
   // classes created since `first_new`.

@@ -34,8 +34,7 @@ SameDifferentDictionary SameDifferentDictionary::from_parts(
 
   d.partition_ = Partition(d.rows_.size());
   for (std::size_t t = 0; t < num_tests; ++t) {
-    d.partition_.refine_with(
-        [&](std::uint32_t f) { return static_cast<std::uint32_t>(d.bit(f, t)); });
+    d.partition_.refine_with([&](std::uint32_t f) { return d.bit(f, t); });
     if (d.partition_.fully_refined()) break;
   }
   return d;

@@ -8,6 +8,7 @@
 
 #include "sim/faultsim.h"
 #include "util/failpoint.h"
+#include "util/flat_interner.h"
 #include "util/threadpool.h"
 
 namespace sddict {
@@ -201,42 +202,58 @@ ResponseMatrix build_response_matrix(const Netlist& nl, const FaultList& faults,
   // (chunk, local id) order. Chunks cover ascending fault ranges and local
   // ids appear in ascending first-fault order inside a chunk, so the global
   // enumeration is exactly the ascending first-detecting-fault order a
-  // single-threaded pass produces.
-  std::vector<std::vector<std::vector<ResponseId>>> remap(num_chunks);
-  std::vector<bool> identity(num_chunks, true);
-  {
-    std::vector<std::unordered_map<Hash128, ResponseId, Hash128Hasher>> intern(
-        k);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      SDDICT_FAILPOINT("response_merge");
-      remap[c].assign(k, {});
-      for (std::size_t j = 0; j < k; ++j) {
-        const auto& local_sigs = stages[c].sigs[j];
-        auto& map = remap[c][j];
-        map.resize(local_sigs.size() + 1);
-        map[0] = 0;
-        for (std::size_t l = 0; l < local_sigs.size(); ++l) {
-          auto [it, inserted] = intern[j].try_emplace(
-              local_sigs[l], static_cast<ResponseId>(rm.signatures_[j].size()));
-          if (inserted) {
-            rm.signatures_[j].push_back(local_sigs[l]);
-            if (options.store_diff_outputs)
-              rm.diffs_[j].push_back(std::move(stages[c].diffs[j][l]));
-          }
-          map[l + 1] = it->second;
-          if (it->second != static_cast<ResponseId>(l + 1))
-            identity[c] = false;
-        }
-      }
+  // single-threaded pass produces. Tests are independent, so each worker
+  // merges every threads-th test with its own interner. remap[c][j] maps
+  // chunk c's local ids under test j to global ids; it stays empty where
+  // that map is the identity, always so with one chunk, whose local ids
+  // are the global ones and need no interning.
+  std::vector<std::vector<std::vector<ResponseId>>> remap(
+      num_chunks, std::vector<std::vector<ResponseId>>(k));
+  auto merge_test = [&](std::size_t j,
+                        FlatInterner<Hash128, Hash128Hasher>* intern) {
+    SDDICT_FAILPOINT("response_merge");
+    std::vector<Hash128>& sigs = rm.signatures_[j];
+    const auto keep_diffs = [&](std::size_t c, std::size_t l) {
+      if (options.store_diff_outputs)
+        rm.diffs_[j].push_back(std::move(stages[c].diffs[j][l]));
+    };
+    if (num_chunks == 1) {
+      const auto& local = stages[0].sigs[j];
+      sigs.insert(sigs.end(), local.begin(), local.end());
+      for (std::size_t l = 0; l < local.size(); ++l) keep_diffs(0, l);
+      return;
     }
-  }
+    intern->clear();
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const auto& local = stages[c].sigs[j];
+      std::vector<ResponseId>& map = remap[c][j];
+      map.resize(local.size() + 1);
+      map[0] = 0;
+      bool identity = true;
+      for (std::size_t l = 0; l < local.size(); ++l) {
+        // Interned ids start at 0; global id 0 is the fault-free response.
+        const ResponseId id = intern->intern(local[l]) + 1;
+        if (id == sigs.size()) {
+          sigs.push_back(local[l]);
+          keep_diffs(c, l);
+        }
+        map[l + 1] = id;
+        identity &= id == l + 1;
+      }
+      if (identity) map = {};
+    }
+  };
+  const std::size_t merge_workers = std::min(threads, k);
+  pool.parallel_for(0, merge_workers, [&](std::size_t w) {
+    FlatInterner<Hash128, Hash128Hasher> intern;
+    for (std::size_t j = w; j < k; j += merge_workers) merge_test(j, &intern);
+  });
 
-  // Rewrite chunk-local ids as global ids. Chunks with an identity map (in
-  // particular the single-chunk case) skip the pass.
+  // Rewrite chunk-local ids as global ids, skipping identity maps.
   auto remap_chunk = [&](std::size_t c) {
-    if (identity[c]) return;
     for (std::size_t j = 0; j < k; ++j) {
       const std::vector<ResponseId>& map = remap[c][j];
+      if (map.empty()) continue;
       ResponseId* col = rm.resp_.data() + j * n;
       for (std::size_t f = stages[c].fault_begin; f < stages[c].fault_end; ++f)
         if (col[f] != 0) col[f] = map[col[f]];

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 
 #include "bmcirc/embedded.h"
 #include "bmcirc/registry.h"
@@ -448,16 +449,24 @@ Procedure2Result literal_procedure2(const ResponseMatrix& rm,
   return res;
 }
 
+// Runs Procedure 2 on one thread and on four (speculative parallel
+// scoring) and checks both against the literal scan.
 void expect_matches_literal(const ResponseMatrix& rm,
                             const std::vector<ResponseId>& initial,
                             const Procedure2Config& config,
                             const std::string& what) {
-  const Procedure2Result fast = run_procedure2(rm, initial, config);
   const Procedure2Result slow = literal_procedure2(rm, initial, config);
-  EXPECT_EQ(fast.baselines, slow.baselines) << what;
-  EXPECT_EQ(fast.replacements, slow.replacements) << what;
-  EXPECT_EQ(fast.sweeps, slow.sweeps) << what;
-  EXPECT_EQ(fast.indistinguished_pairs, slow.indistinguished_pairs) << what;
+  for (std::size_t threads : {1u, 4u}) {
+    Procedure2Config threaded = config;
+    threaded.num_threads = threads;
+    const Procedure2Result fast = run_procedure2(rm, initial, threaded);
+    const std::string where = what + " threads=" + std::to_string(threads);
+    EXPECT_EQ(fast.baselines, slow.baselines) << where;
+    EXPECT_EQ(fast.replacements, slow.replacements) << where;
+    EXPECT_EQ(fast.sweeps, slow.sweeps) << where;
+    EXPECT_EQ(fast.indistinguished_pairs, slow.indistinguished_pairs)
+        << where;
+  }
 }
 
 // Initial assignments worth starting from: fault-free, random, and
@@ -627,13 +636,47 @@ TEST(CandidateScorer, WeightedClassesMatchExpandedRows) {
           if (group_of[e] == g) class_members.push_back(e);
         for (FaultId f = 0; f < rm.num_faults(); ++f)
           if (group_of[class_of[f]] == g) fault_members.push_back(f);
-        weighted.add_group(class_members);
-        expanded.add_group(fault_members);
+        // A group scores exactly when its members' responses differ.
+        std::set<ResponseId> responses;
+        for (FaultId f : fault_members) responses.insert(rm.response(f, j));
+        const bool mixed = responses.size() >= 2;
+        EXPECT_EQ(weighted.add_group(class_members), mixed);
+        EXPECT_EQ(expanded.add_group(fault_members), mixed);
       }
       EXPECT_EQ(weighted.dist(), expanded.dist())
           << "trial=" << trial << " test=" << j;
     }
   }
+}
+
+TEST(CandidateScorer, EmptyAndUniformGroupsScoreNothing) {
+  // One test, five faults with responses 0 0 1 1 2 (the fault-free
+  // signature at id 0). Empty and single-response groups add nothing and
+  // say so; a mixed group scores every candidate by w_z * (W - w_z).
+  const ResponseMatrix rm = response_matrix_from_ids(
+      /*resp=*/{0, 0, 1, 1, 2},
+      /*signatures=*/{{Hash128{}, slot_token(0, 1), slot_token(1, 1)}},
+      /*num_faults=*/5, /*num_tests=*/1, /*num_outputs=*/2);
+  const ResponseClasses units = ResponseClasses::singletons(5);
+  CandidateScorer scorer(rm.column(0), units, rm.num_distinct(0));
+  const std::vector<std::uint64_t> zero(3, 0);
+  EXPECT_FALSE(scorer.add_group({}));
+  EXPECT_EQ(scorer.dist(), zero);
+  const std::vector<std::uint32_t> lone = {4};
+  const std::vector<std::uint32_t> same = {0, 1};
+  const std::vector<std::uint32_t> same_late = {2, 3};
+  EXPECT_FALSE(scorer.add_group(lone));
+  EXPECT_FALSE(scorer.add_group(same));
+  EXPECT_FALSE(scorer.add_group(same_late));
+  EXPECT_EQ(scorer.dist(), zero);
+  // Members 0, 1 share a response before the first different one: the
+  // prefix still counts.
+  const std::vector<std::uint32_t> mixed = {0, 1, 2, 4};
+  EXPECT_TRUE(scorer.add_group(mixed));
+  EXPECT_EQ(scorer.dist(), (std::vector<std::uint64_t>{2 * 2, 1 * 3, 1 * 3}));
+  // Uniform groups after a scoring one leave its scores as they are.
+  EXPECT_FALSE(scorer.add_group(same));
+  EXPECT_EQ(scorer.dist(), (std::vector<std::uint64_t>{4, 3, 3}));
 }
 
 TEST(Procedure1, MatchesExplicitPairReferenceOnDuplicatedRows) {
@@ -756,6 +799,7 @@ TEST(Procedure1And2, PinnedOnBenchmarkCircuits) {
 
       Procedure2Config p2cfg;
       p2cfg.target_indistinguished = full_pairs;
+      p2cfg.num_threads = threads;
       const Procedure2Result p2 = run_procedure2(rm, p1.baselines, p2cfg);
       EXPECT_EQ(p2.sweeps, p.p2_sweeps) << what;
       EXPECT_EQ(p2.replacements, p.p2_replacements) << what;
@@ -766,7 +810,7 @@ TEST(Procedure1And2, PinnedOnBenchmarkCircuits) {
       // construct() runs the same chain and must reproduce it; it sets
       // both targets itself.
       cfg.target_indistinguished = 0;
-      const Construction c = construct(rm, cfg, {});
+      const Construction c = construct(rm, cfg, {.num_threads = threads});
       EXPECT_EQ(c.full_pairs, full_pairs) << what;
       EXPECT_EQ(c.proc1.calls_used, p.p1_calls) << what;
       EXPECT_EQ(c.proc1.indistinguished_pairs, p.p1_indistinguished) << what;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "bmcirc/embedded.h"
 #include "dict/full_dict.h"
@@ -159,27 +160,83 @@ struct ReferencePartition {
   }
 };
 
+// Same class ids, members, class_of, open list and pair count.
+void expect_same_partition(const Partition& a, const Partition& b,
+                           const std::string& what) {
+  ASSERT_EQ(a.num_classes(), b.num_classes()) << what;
+  EXPECT_EQ(a.indistinguished_pairs(), b.indistinguished_pairs()) << what;
+  for (std::size_t c = 0; c < a.num_classes(); ++c)
+    EXPECT_EQ(members_of(a, c), members_of(b, c)) << what << " class " << c;
+  for (std::size_t e = 0; e < a.num_elements(); ++e)
+    EXPECT_EQ(a.class_of(e), b.class_of(e)) << what << " element " << e;
+  EXPECT_EQ(std::vector<std::uint32_t>(a.open_classes().begin(),
+                                       a.open_classes().end()),
+            std::vector<std::uint32_t>(b.open_classes().begin(),
+                                       b.open_classes().end()))
+      << what;
+}
+
 TEST(Partition, MatchesLabelHistoryOracleOverManyRounds) {
-  // Non-binary labels, several rounds: the partition must equal grouping by
-  // the whole label history (brute force), and its ids and member order
-  // must match the one-vector-per-class reference.
+  // Several rounds, every other one with two labels: the partition must
+  // equal grouping by the whole label history (brute force), and its ids
+  // and member order must match the one-vector-per-class reference. Two
+  // more partitions follow the same labels: one takes the two-label rounds
+  // through a bool labeler, one refines only the open classes whose labels
+  // differ (refine_classes, bool on the two-label rounds); both must match
+  // the uint32_t path exactly.
   Rng rng(2024);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 1 + rng.below(60);
     const std::uint32_t alphabet = 1 + static_cast<std::uint32_t>(rng.below(5));
     Partition p(n);
+    Partition two_way(n);
+    Partition subset(n);
     ReferencePartition ref(n);
     std::vector<std::vector<std::uint32_t>> history(n);
     for (int round = 0; round < 6; ++round) {
+      const bool binary = round % 2 == 1;
       std::vector<std::uint32_t> labels(n);
       for (auto& l : labels)
-        l = 1000u * static_cast<std::uint32_t>(rng.below(alphabet)) + 7u;
+        l = 1000u * static_cast<std::uint32_t>(
+                        rng.below(binary ? 2 : alphabet)) + 7u;
       for (std::size_t e = 0; e < n; ++e) history[e].push_back(labels[e]);
 
       const std::uint64_t before = p.indistinguished_pairs();
       const std::uint64_t separated = p.refine(labels);
       EXPECT_EQ(separated, ref.refine(labels));
       EXPECT_EQ(p.indistinguished_pairs(), before - separated);
+
+      const std::string what =
+          "trial=" + std::to_string(trial) + " round=" + std::to_string(round);
+      if (binary) {
+        EXPECT_EQ(two_way.refine_with([&](std::uint32_t e) {
+          return labels[e] == 1007u;
+        }),
+                  separated)
+            << what;
+      } else {
+        EXPECT_EQ(two_way.refine(labels), separated) << what;
+      }
+      expect_same_partition(p, two_way, what + " bool labeler");
+
+      std::vector<std::uint32_t> mixed;
+      for (std::uint32_t c : subset.open_classes()) {
+        const auto m = subset.members(c);
+        if (std::any_of(m.begin(), m.end(), [&](std::uint32_t e) {
+              return labels[e] != labels[m[0]];
+            }))
+          mixed.push_back(c);
+      }
+      // Procedure 1 combines both: refine_classes with a bool labeler.
+      const std::uint64_t subset_separated =
+          binary ? subset.refine_classes(mixed,
+                                         [&](std::uint32_t e) {
+                                           return labels[e] == 1007u;
+                                         })
+                 : subset.refine_classes(
+                       mixed, [&](std::uint32_t e) { return labels[e]; });
+      EXPECT_EQ(subset_separated, separated) << what;
+      expect_same_partition(p, subset, what + " refine_classes");
 
       std::uint64_t oracle_pairs = 0;
       std::set<std::vector<std::uint32_t>> distinct;

@@ -1,7 +1,7 @@
 // Concurrency-layer tests: the shared-queue thread pool itself, and the
-// bit-determinism guarantees of the two parallel construction stages —
-// build_response_matrix and run_procedure1 must produce identical results
-// at every thread count (ISSUE 1 tentpole). Registered under the ctest
+// bit-determinism guarantees of the parallel construction stages —
+// build_response_matrix, run_procedure1 and run_procedure2 must produce
+// identical results at every thread count. Registered under the ctest
 // label "concurrency" so they can be singled out for -fsanitize=thread runs.
 #include <gtest/gtest.h>
 
@@ -11,9 +11,12 @@
 #include <vector>
 
 #include "bmcirc/embedded.h"
+#include "bmcirc/registry.h"
 #include "bmcirc/synth.h"
 #include "core/baseline.h"
+#include "core/procedure2.h"
 #include "fault/collapse.h"
+#include "netlist/transform.h"
 #include "sim/response.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -198,6 +201,47 @@ TEST(ParallelDeterminism, Procedure1IdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.distinguished_pairs, parallel.distinguished_pairs);
     EXPECT_EQ(serial.indistinguished_pairs, parallel.indistinguished_pairs);
     EXPECT_EQ(serial.calls_used, parallel.calls_used);
+  }
+}
+
+TEST(ParallelDeterminism, Procedure2IdenticalAcrossThreadCounts) {
+  // Procedure 2 scores blocks of tests ahead in parallel and commits them
+  // in test order up to the first replacement: every thread count must
+  // reproduce the one-thread run, from Procedure 1's baselines and from
+  // the fault-free ones (many replacements, so many discarded blocks).
+  for (const char* circuit : {"s298", "s1423", "s5378"}) {
+    const Netlist nl = full_scan(load_benchmark(circuit));
+    const FaultList faults = collapsed_fault_list(nl).collapsed;
+    TestSet tests(nl.num_inputs());
+    Rng rng(7);
+    tests.add_random(100, rng);
+    const ResponseMatrix rm =
+        build_response_matrix(nl, faults, tests, {.num_threads = 4});
+    BaselineSelectionConfig bcfg;
+    bcfg.calls1 = 4;
+    bcfg.num_threads = 4;
+    const std::vector<std::vector<ResponseId>> initials = {
+        run_procedure1(rm, bcfg).baselines,
+        std::vector<ResponseId>(rm.num_tests(), 0)};
+    for (std::size_t i = 0; i < initials.size(); ++i) {
+      const Procedure2Result serial =
+          run_procedure2(rm, initials[i], {.num_threads = 1});
+      for (std::size_t threads : {2u, 4u, 8u}) {
+        const std::string what = std::string(circuit) + " initial=" +
+                                 std::to_string(i) +
+                                 " threads=" + std::to_string(threads);
+        const Procedure2Result parallel =
+            run_procedure2(rm, initials[i], {.num_threads = threads});
+        EXPECT_EQ(serial.baselines, parallel.baselines) << what;
+        EXPECT_EQ(serial.sweeps, parallel.sweeps) << what;
+        EXPECT_EQ(serial.replacements, parallel.replacements) << what;
+        EXPECT_EQ(serial.distinguished_pairs, parallel.distinguished_pairs)
+            << what;
+        EXPECT_EQ(serial.indistinguished_pairs,
+                  parallel.indistinguished_pairs)
+            << what;
+      }
+    }
   }
 }
 

@@ -389,22 +389,29 @@ TEST(AnytimePipeline, PreCancelledProcedure2KeepsInitialAssignment) {
       build_response_matrix(w.nl, w.faults, w.tests, {.num_threads = 2});
   const std::vector<ResponseId> initial(rm.num_tests(), 0);
 
-  Procedure2Config cfg;
-  cfg.budget = cancelled_budget();
-  const Procedure2Result res = run_procedure2(rm, initial, cfg);
-  EXPECT_FALSE(res.completed);
-  EXPECT_EQ(res.stop_reason, StopReason::kCancelled);
-  EXPECT_EQ(res.baselines, initial);
-  EXPECT_EQ(res.replacements, 0u);
-  EXPECT_EQ(res.indistinguished_pairs, count_indistinguished(rm, initial));
+  // Four threads score blocks of tests ahead; a cancelled budget must
+  // still commit none of them.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Procedure2Config cfg;
+    cfg.num_threads = threads;
+    cfg.budget = cancelled_budget();
+    const Procedure2Result res = run_procedure2(rm, initial, cfg);
+    EXPECT_FALSE(res.completed);
+    EXPECT_EQ(res.stop_reason, StopReason::kCancelled);
+    EXPECT_EQ(res.baselines, initial);
+    EXPECT_EQ(res.replacements, 0u);
+    EXPECT_EQ(res.indistinguished_pairs, count_indistinguished(rm, initial));
 
-  // construct() passes each procedure its own budget: Procedure 1 falls
-  // back to the pass/fail floor and Procedure 2 keeps that assignment.
-  const Construction c = construct(rm, {.budget = cancelled_budget()}, cfg);
-  EXPECT_EQ(c.proc1.stop_reason, StopReason::kCancelled);
-  EXPECT_EQ(c.proc2.stop_reason, StopReason::kCancelled);
-  EXPECT_EQ(c.proc2.baselines, c.proc1.baselines);
-  EXPECT_EQ(c.proc2.replacements, 0u);
+    // construct() passes each procedure its own budget: Procedure 1 falls
+    // back to the pass/fail floor and Procedure 2 keeps that assignment.
+    const Construction c = construct(
+        rm, {.num_threads = threads, .budget = cancelled_budget()}, cfg);
+    EXPECT_EQ(c.proc1.stop_reason, StopReason::kCancelled);
+    EXPECT_EQ(c.proc2.stop_reason, StopReason::kCancelled);
+    EXPECT_EQ(c.proc2.baselines, c.proc1.baselines);
+    EXPECT_EQ(c.proc2.replacements, 0u);
+  }
 }
 
 // ------------------------------------------------------ fault injection --
