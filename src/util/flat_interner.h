@@ -3,8 +3,8 @@
 // linear probing, and every slot carries the generation it was written in,
 // so clear() is O(1) and a table reused across many rounds allocates only
 // while it grows to the largest round. Used where a hot loop groups items
-// by a key once per round (partition refinement, Procedure 2) and a
-// node-based map would allocate per item.
+// by a key once per round (partition refinement, Procedure 2, the
+// response-matrix merge) and a node-based map would allocate per item.
 #pragma once
 
 #include <algorithm>
